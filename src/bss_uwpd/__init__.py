@@ -30,13 +30,12 @@ from .errors import (
 from .filterbank import (
     CbTree,
     FilterPair,
-    LeafCoefficients,
     build_cb_tree,
     db4_filters,
-    decompose,
     decompose_nodes,
     format_tree,
     uwpd_step,
+    walk,
 )
 from .metrics import (
     MetricsReport,

@@ -94,25 +94,29 @@ def read_wav(path) -> Signal:
             frames = handle.readframes(n_frames)
     except wave.Error as exc:
         raise WavFormatError(f"{path}: malformed WAV header: {exc}") from exc
-    if n_frames < 1:
+    if len(frames) % 2:
+        raise WavFormatError(f"{path}: data chunk: ends in a partial 16-bit sample")
+    if not frames:
         raise WavFormatError(f"{path}: data chunk: empty")
     samples = np.frombuffer(frames, dtype="<i2").astype(np.float64)
     return Signal(samples / _PCM_FULL_SCALE, rate)
 
 
 def write_wav(signal: Signal, path) -> None:
-    """Write a Signal as mono 16-bit PCM WAV.
+    """Write a Signal as mono 16-bit PCM WAV to a path or a binary file.
 
     Values outside [-1, 1) are clipped; quantization is round-to-nearest.
     """
+    if not hasattr(path, "write"):
+        with open(path, "wb") as raw:
+            return write_wav(signal, raw)
     scaled = np.rint(signal.samples * _PCM_FULL_SCALE)
     quantized = np.clip(scaled, -32768, 32767).astype("<i2")
-    with open(path, "wb") as raw:
-        with wave.open(raw, "wb") as handle:
-            handle.setnchannels(1)
-            handle.setsampwidth(2)
-            handle.setframerate(signal.sample_rate_hz)
-            handle.writeframes(quantized.tobytes())
+    with wave.open(path, "wb") as handle:
+        handle.setnchannels(1)
+        handle.setsampwidth(2)
+        handle.setframerate(signal.sample_rate_hz)
+        handle.writeframes(quantized.tobytes())
 
 
 def decimate_to_8k(signal: Signal) -> Signal:

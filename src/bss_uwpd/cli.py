@@ -18,6 +18,7 @@ falls back to the BSS_UWPD_SEED environment variable, then 42.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -82,31 +83,44 @@ def _atomic_write_text(path: Path, text: str):
 
 
 def _atomic_write_wav(signal: Signal, path: Path):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    os.close(fd)
-    try:
-        write_wav(signal, tmp_name)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    buffer = io.BytesIO()
+    write_wav(signal, buffer)
+    _atomic_write_bytes(path, buffer.getvalue())
+
+
+def _write_mixtures(out: Path, matrix, scale, mixtures, source_paths, **extra):
+    """mix1.wav, mix2.wav and mix_manifest.json, with extra manifest keys."""
+    names = ["mix1.wav", "mix2.wav"]
+    for mixture, name in zip(mixtures, names):
+        _atomic_write_wav(mixture, out / name)
+    manifest = {
+        "matrix": [list(row) for row in matrix.entries.tolist()],
+        "scale": scale,
+        "sample_rate_hz": mixtures[0].sample_rate_hz,
+        "n_samples": len(mixtures[0]),
+        "sources": [Path(p).name for p in source_paths],
+        "mixtures": names,
+        **extra,
+    }
+    _atomic_write_text(out / "mix_manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def _parse_matrix(text: str) -> MixingMatrix:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ParameterError(f"--matrix needs a11,a12,a21,a22, got {text!r}")
-    a11, a12, a21, a22 = (float(p) for p in parts)
+    try:
+        a11, a12, a21, a22 = (float(p) for p in text.split(","))
+    except ValueError:
+        raise ParameterError(f"--matrix needs a11,a12,a21,a22, got {text!r}") from None
     return MixingMatrix(np.array([[a11, a12], [a21, a22]]))
 
 
 def _parse_lags(text: str):
-    if "-" in text and "," not in text:
-        first, last = text.split("-", 1)
-        return tuple(range(int(first), int(last) + 1))
-    return tuple(int(p) for p in text.split(","))
+    try:
+        if "-" in text and "," not in text:
+            first, last = text.split("-", 1)
+            return tuple(range(int(first), int(last) + 1))
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ParameterError(f"--lags needs e.g. 1-20 or 1,2,5, got {text!r}") from None
 
 
 def _default_seed() -> int:
@@ -214,17 +228,7 @@ def cmd_mix(args) -> int:
     matrix = _parse_matrix(args.matrix)
     sources = _load_mixture_inputs([args.source1, args.source2])
     mix1, mix2, scale = _make_mixtures(sources, matrix)
-    _atomic_write_wav(mix1, out / "mix1.wav")
-    _atomic_write_wav(mix2, out / "mix2.wav")
-    manifest = {
-        "matrix": [list(row) for row in matrix.entries.tolist()],
-        "scale": scale,
-        "sample_rate_hz": mix1.sample_rate_hz,
-        "n_samples": len(mix1),
-        "sources": [Path(args.source1).name, Path(args.source2).name],
-        "mixtures": ["mix1.wav", "mix2.wav"],
-    }
-    _atomic_write_text(out / "mix_manifest.json", json.dumps(manifest, indent=2) + "\n")
+    _write_mixtures(out, matrix, scale, (mix1, mix2), (args.source1, args.source2))
     print(f"wrote mix1.wav, mix2.wav, mix_manifest.json to {out}")
     return 0
 
@@ -287,23 +291,13 @@ def cmd_experiment(args) -> int:
 
     # all computation done; emit artifacts, then score from the files so
     # every table cell is reproducible from the written WAVs alone
-    _atomic_write_wav(mix1, out / "mix1.wav")
-    _atomic_write_wav(mix2, out / "mix2.wav")
     ref_names = ["ref1.wav", "ref2.wav"]
     for reference, ref_name in zip(references, ref_names):
         _atomic_write_wav(reference, out / ref_name)
-    manifest = {
-        "matrix": [list(row) for row in config.matrix.entries.tolist()],
-        "scale": scale,
-        "sample_rate_hz": mix1.sample_rate_hz,
-        "n_samples": len(mix1),
-        "seed": config.seed,
-        "methods": list(config.methods),
-        "sources": [Path(p).name for p in config.source_paths],
-        "mixtures": ["mix1.wav", "mix2.wav"],
-        "references": ref_names,
-    }
-    _atomic_write_text(out / "mix_manifest.json", json.dumps(manifest, indent=2) + "\n")
+    _write_mixtures(
+        out, config.matrix, scale, (mix1, mix2), config.source_paths,
+        seed=config.seed, methods=list(config.methods), references=ref_names,
+    )
 
     ref_signals = [read_wav(out / ref_name) for ref_name in ref_names]
     records = []

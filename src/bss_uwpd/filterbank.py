@@ -107,15 +107,10 @@ class CbTree:
 
     def nodes(self):
         """All (level, position) pairs of the tree: leaves plus ancestors."""
-        seen = set()
-        for leaf in self.leaves:
-            level, position = leaf.level, leaf.position
-            while (level, position) not in seen:
-                seen.add((level, position))
-                if level == 0:
-                    break
-                level, position = level - 1, position >> 1
-        return sorted(seen)
+        return sorted(
+            {(leaf.level - k, leaf.position >> k)
+             for leaf in self.leaves for k in range(leaf.level + 1)}
+        )
 
     def band(self, level: int, position: int):
         """Frequency band (low, high) in Hz covered by a node."""
@@ -123,30 +118,37 @@ class CbTree:
         return position * width, (position + 1) * width
 
 
-@dataclass(frozen=True)
-class LeafCoefficients:
-    """Coefficient sequence of one leaf; same length as the input."""
-
-    node: tuple
-    coeffs: np.ndarray
+# Elements per cache block of uwpd_step: a block's input, scratch and both
+# outputs (1 MiB) stay in L2, which halves a step on 480000-sample pairs.
+_BLOCK_ELEMENTS = 32768
 
 
 def uwpd_step(coeffs, filters: FilterPair, level: int):
-    """One undecimated analysis step: circular convolution with the pair
-    upsampled for the given level (1-based). Returns (approx, detail), both
-    of input length."""
+    """One undecimated analysis step on (..., N) data: circular convolution
+    along the last axis with the pair upsampled for the given level
+    (1-based). Returns (approx, detail), both of input shape. Taps are
+    accumulated in order, so the output equals the np.roll form bit for bit."""
     c = np.asarray(coeffs, dtype=np.float64)
     if c.size == 0:
         raise DimensionError("cannot filter an empty sequence")
     if level < 1:
         raise ParameterError(f"level must be >= 1, got {level}")
-    stride = 2 ** (level - 1)
+    n = c.shape[-1]
+    shifts = [(k * 2 ** (level - 1)) % n for k in range(filters.h.size)]
+    pad = max(shifts)
+    extended = np.concatenate([c[..., n - pad :], c], axis=-1)
     approx = np.zeros_like(c)
     detail = np.zeros_like(c)
-    for k in range(filters.h.size):
-        rolled = np.roll(c, k * stride)
-        approx += filters.h[k] * rolled
-        detail += filters.g[k] * rolled
+    width = max(1, _BLOCK_ELEMENTS * n // c.size)
+    scratch = np.empty(c.shape[:-1] + (min(width, n),))
+    for start in range(0, n, width):
+        stop = min(start + width, n)
+        block = scratch[..., : stop - start]
+        for k, shift in enumerate(shifts):
+            tapped = extended[..., pad - shift + start : pad - shift + stop]
+            for taps, total in ((filters.h, approx), (filters.g, detail)):
+                np.multiply(tapped, taps[k], out=block)
+                total[..., start:stop] += block
     return approx, detail
 
 
@@ -195,44 +197,37 @@ def build_cb_tree(fs_hz: int = PIPELINE_RATE_HZ, bands=CRITICAL_BANDS) -> CbTree
     return CbTree(fs_hz=fs_hz, leaves=tuple(leaves))
 
 
-def decompose_nodes(signal: Signal, tree: CbTree, filters: FilterPair):
-    """Coefficients for every node of the tree, keyed by (level, position).
+def walk(x, tree: CbTree, filters: FilterPair):
+    """Depth-first walk of the tree over (..., N) data, yielding (node,
+    coeffs) for every node, the root (x itself) first. A parent is dropped
+    once its children exist, so one pending sibling per level stays alive.
 
     Positions are in natural frequency order; when filtering the children
     of a node at an odd frequency position, the low-pass output lands in
     the upper half-band (the standard high/low swap), so band labels stay
     monotone in frequency.
     """
+    leaves = {(leaf.level, leaf.position) for leaf in tree.leaves}
+    pending = [((0, 0), x)]
+    while pending:
+        (level, position), coeffs = pending.pop()
+        yield (level, position), coeffs
+        if (level, position) in leaves:
+            continue
+        approx, detail = uwpd_step(coeffs, filters, level + 1)
+        if position % 2 == 1:
+            approx, detail = detail, approx
+        lo, hi = (level + 1, 2 * position), (level + 1, 2 * position + 1)
+        pending += [(hi, detail), (lo, approx)]
+
+
+def decompose_nodes(signal: Signal, tree: CbTree, filters: FilterPair):
+    """Coefficients for every node of the tree, keyed by (level, position)."""
     if signal.sample_rate_hz != tree.fs_hz:
         raise UnsupportedRateError(
             f"signal rate {signal.sample_rate_hz} does not match tree rate {tree.fs_hz}"
         )
-    nodes = tree.nodes()
-    node_set = set(nodes)
-    coeffs = {(0, 0): signal.samples}
-    for level, position in nodes:
-        child_lo = (level + 1, 2 * position)
-        child_hi = (level + 1, 2 * position + 1)
-        if child_lo not in node_set and child_hi not in node_set:
-            continue
-        approx, detail = uwpd_step(coeffs[(level, position)], filters, level + 1)
-        if position % 2 == 0:
-            coeffs[child_lo], coeffs[child_hi] = approx, detail
-        else:
-            coeffs[child_lo], coeffs[child_hi] = detail, approx
-    return coeffs
-
-
-def decompose(signal: Signal, tree: CbTree, filters: FilterPair):
-    """Leaf coefficients of a signal over the critical-band tree."""
-    coeffs = decompose_nodes(signal, tree, filters)
-    return [
-        LeafCoefficients(
-            node=(leaf.level, leaf.position),
-            coeffs=coeffs[(leaf.level, leaf.position)],
-        )
-        for leaf in tree.leaves
-    ]
+    return dict(walk(signal.samples, tree, filters))
 
 
 def format_tree(tree: CbTree) -> str:

@@ -36,6 +36,15 @@ def _capped_db(numerator: float, denominator: float) -> float:
     return float(np.clip(10.0 * np.log10(numerator / denominator), -DB_CAP, DB_CAP))
 
 
+def _dot(a, b) -> float:
+    """Dot product independent of the BLAS thread count: einsum sums
+    256-sample blocks without BLAS, and the blocks are added pairwise; the
+    tail, like a segmental SNR frame, is below OpenBLAS's threading size."""
+    whole = a.size - a.size % 256
+    blocks = np.einsum("ij,ij->i", a[:whole].reshape(-1, 256), b[:whole].reshape(-1, 256))
+    return float(blocks.sum() + a[whole:] @ b[whole:])
+
+
 def _samples(signal):
     return signal.samples if isinstance(signal, Signal) else np.asarray(signal, float)
 
@@ -88,18 +97,17 @@ def bss_decompose(estimate, references, target_index: int) -> BssDecomposition:
     refs = [_samples(r) for r in references]
     if any(r.size != e.size for r in refs):
         raise DimensionError("estimate and references must share one length")
-    target = refs[target_index]
-    target_energy = target @ target
+    gram = np.array([[_dot(r, s) for s in refs] for r in refs])
+    target_energy = gram[target_index, target_index]
     if target_energy <= 0.0:
         raise DegenerateInputError("target reference carries no energy")
-    s_target = (e @ target / target_energy) * target
-    gram = np.array([[refs[0] @ refs[0], refs[0] @ refs[1]],
-                     [refs[1] @ refs[0], refs[1] @ refs[1]]])
+    projections = np.array([_dot(r, e) for r in refs])
+    s_target = (projections[target_index] / target_energy) * refs[target_index]
     collinear = np.linalg.det(gram) <= 1e-12 * gram[0, 0] * gram[1, 1]
     if collinear:
         p_span = s_target
     else:
-        coeffs = np.linalg.solve(gram, np.array([refs[0] @ e, refs[1] @ e]))
+        coeffs = np.linalg.solve(gram, projections)
         p_span = coeffs[0] * refs[0] + coeffs[1] * refs[1]
     e_interf = p_span - s_target
     e_artif = e - p_span
@@ -111,8 +119,8 @@ def bss_decompose(estimate, references, target_index: int) -> BssDecomposition:
 def sir(decomposition: BssDecomposition) -> float:
     """Signal-to-interference ratio in dB, capped to +-300."""
     return _capped_db(
-        float(decomposition.s_target @ decomposition.s_target),
-        float(decomposition.e_interf @ decomposition.e_interf),
+        _dot(decomposition.s_target, decomposition.s_target),
+        _dot(decomposition.e_interf, decomposition.e_interf),
     )
 
 
@@ -120,14 +128,14 @@ def sdr(decomposition: BssDecomposition) -> float:
     """Signal-to-distortion ratio in dB (interference plus artifacts), capped."""
     distortion = decomposition.e_interf + decomposition.e_artif
     return _capped_db(
-        float(decomposition.s_target @ decomposition.s_target),
-        float(distortion @ distortion),
+        _dot(decomposition.s_target, decomposition.s_target),
+        _dot(distortion, distortion),
     )
 
 
 def _ls_gain(reference, estimate):
-    denom = estimate @ estimate
-    return (reference @ estimate / denom) if denom > 0.0 else 0.0
+    denom = _dot(estimate, estimate)
+    return (_dot(reference, estimate) / denom) if denom > 0.0 else 0.0
 
 
 def segmental_snr(estimate, reference) -> float:
@@ -172,11 +180,11 @@ def overall_snr(estimate, reference) -> float:
     ref = _samples(reference)
     if est.size != ref.size:
         raise DimensionError("estimate and reference must share one length")
-    ref_energy = ref @ ref
+    ref_energy = _dot(ref, ref)
     if ref_energy <= 0.0:
         raise DegenerateInputError("reference carries no energy")
     residual = ref - _ls_gain(ref, est) * est
-    return _capped_db(float(ref_energy), float(residual @ residual))
+    return _capped_db(ref_energy, _dot(residual, residual))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """End-to-end separation: subband preprocessing, ICA, time-domain unmixing.
 
-The proposed path decomposes both mixtures over the critical-band tree,
-picks the tree node whose coefficients are jointly most supergaussian, fits
-FastICA on those coefficients, and applies the learned unmixing matrix to
-the original time-domain mixtures. Baselines fit directly on the mixtures.
+The proposed path walks both mixtures over the critical-band tree, keeps
+the node whose coefficients are jointly most supergaussian, fits FastICA on
+those coefficients, and applies the learned unmixing matrix to the original
+time-domain mixtures. Baselines fit directly on the mixtures.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .audio_io import PIPELINE_RATE_HZ, Signal
-from .errors import DimensionError, ParameterError, UnsupportedRateError
-from .filterbank import CbTree, FilterPair, build_cb_tree, db4_filters, decompose_nodes
+from .errors import DimensionError, ParameterError, SelectionError, UnsupportedRateError
+from .filterbank import build_cb_tree, db4_filters, walk
 from .separators import (
     DEFAULT_SOBI_LAGS,
     IcaOptions,
@@ -23,12 +23,7 @@ from .separators import (
     fastica,
     sobi,
 )
-from .stats import (
-    fit_whitening,
-    score_nodes,
-    select_best_node,
-    select_best_per_channel,
-)
+from .stats import fit_whitening, rank_key, row_kurtosis
 
 METHOD_PROPOSED = "proposed"
 METHOD_FASTICA = "fastica_plain"
@@ -61,10 +56,7 @@ def _finish(x, model, selected_node, method):
     estimates = apply_unmixing(model, x, mean=x.mean(axis=1))
     estimates = estimates / estimates.std(axis=1, keepdims=True)
     return SeparationResult(
-        estimates=(
-            Signal(estimates[0], PIPELINE_RATE_HZ),
-            Signal(estimates[1], PIPELINE_RATE_HZ),
-        ),
+        estimates=tuple(Signal(row, PIPELINE_RATE_HZ) for row in estimates),
         model=model,
         selected_node=selected_node,
         method=method,
@@ -73,14 +65,32 @@ def _finish(x, model, selected_node, method):
     )
 
 
+def _select_subband(x, tree, per_channel_nodes):
+    """Score each node as the walk produces it and keep only the best block.
+    best[r] = (rank, node, row r of the block); the common reading ranks
+    both rows by the min over channels."""
+    best = [None, None]
+    for node, coeffs in walk(x, tree, db4_filters()):
+        values = row_kurtosis(coeffs)
+        if not per_channel_nodes:
+            values = np.full(2, np.min(values))
+        for r, value in enumerate(values):
+            if np.isfinite(value):
+                rank = rank_key(node, float(value), tree.fs_hz)
+                if best[r] is None or rank < best[r][0]:
+                    best[r] = (rank, node, coeffs[r])
+    if None in best:
+        raise SelectionError("every node scored as degenerate on some channel")
+    selected = (best[0][1], best[1][1]) if per_channel_nodes else best[0][1]
+    return selected, np.vstack([best[0][2], best[1][2]])
+
+
 def separate_proposed(
     x1: Signal,
     x2: Signal,
     opts: IcaOptions | None = None,
     per_channel_nodes: bool = False,
     refit_whitening: bool = False,
-    tree: CbTree | None = None,
-    filters: FilterPair | None = None,
 ) -> SeparationResult:
     """Separate two mixtures via the kurtosis-selected subband.
 
@@ -90,25 +100,9 @@ def separate_proposed(
     time-domain mixtures before applying the rotation.
     """
     _check_pair(x1, x2)
-    if opts is None:
-        opts = IcaOptions()
-    if tree is None:
-        tree = build_cb_tree(PIPELINE_RATE_HZ)
-    if filters is None:
-        filters = db4_filters()
-    nodes1 = decompose_nodes(x1, tree, filters)
-    nodes2 = decompose_nodes(x2, tree, filters)
-    scores = score_nodes(nodes1, nodes2)
-    if per_channel_nodes:
-        node1, node2 = select_best_per_channel(scores, tree.fs_hz)
-        selected = (node1, node2)
-        subband = np.vstack([nodes1[node1], nodes2[node2]])
-    else:
-        best = select_best_node(scores, tree.fs_hz)
-        selected = best.node
-        subband = np.vstack([nodes1[best.node], nodes2[best.node]])
-    model = fastica(subband, opts)
     x = np.vstack([x1.samples, x2.samples])
+    selected, subband = _select_subband(x, build_cb_tree(), per_channel_nodes)
+    model = fastica(subband, opts if opts is not None else IcaOptions())
     if refit_whitening:
         model = replace(model, whitening=fit_whitening(x))
     return _finish(x, model, selected, METHOD_PROPOSED)

@@ -12,31 +12,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audio_io import PIPELINE_RATE_HZ
 from .errors import (
     DegenerateInputError,
     DimensionError,
     SelectionError,
     SingularDataError,
 )
+from .filterbank import CbTree
+
+
+def row_kurtosis(c) -> np.ndarray:
+    """Excess kurtosis of each row of (..., N) data along its last axis,
+    after centering and scaling to unit variance; NaN for a row with zero
+    or non-finite variance. Biased (1/N) moment estimators throughout."""
+    c = np.asarray(c, dtype=np.float64)
+    n = c.shape[-1]
+    if n < 4:
+        raise DimensionError(f"kurtosis needs >= 4 samples, got {n}")
+    # mean's pairwise sums give a row the same value in any array shape
+    sq = c - c.mean(axis=-1, keepdims=True)
+    np.multiply(sq, sq, out=sq)
+    m2 = sq.mean(axis=-1)
+    np.multiply(sq, sq, out=sq)
+    m4 = sq.mean(axis=-1)
+    usable = np.isfinite(m2) & (m2 > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(usable, m4 / (m2 * m2) - 3.0, np.nan)
 
 
 def kurtosis(y) -> float:
-    """Excess kurtosis of a sequence, after centering and scaling to unit
-    variance. Biased (1/N) moment estimators throughout."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.size < 4:
-        raise DimensionError(f"kurtosis needs >= 4 samples, got {y.size}")
-    centered = y - y.mean()
-    variance = np.mean(centered**2)
-    if variance <= 0.0 or not np.isfinite(variance):
+    """Excess kurtosis of a sequence (see row_kurtosis)."""
+    value = float(row_kurtosis(np.ravel(y)))
+    if np.isnan(value):
         raise DegenerateInputError("zero-variance input has no kurtosis")
-    z = centered / np.sqrt(variance)
-    return float(np.mean(z**4) - 3.0)
+    return value
 
 
 @dataclass(frozen=True)
 class NodeScore:
-    """Per-channel kurtosis of one tree node; combined = min over channels."""
+    """Per-channel kurtosis of one tree node; combined = min over channels,
+    NaN when either channel is degenerate."""
 
     node: tuple
     kurtosis_ch1: float
@@ -44,58 +60,46 @@ class NodeScore:
 
     @property
     def combined(self) -> float:
-        return min(self.kurtosis_ch1, self.kurtosis_ch2)
+        return float(np.minimum(self.kurtosis_ch1, self.kurtosis_ch2))
 
 
 def score_nodes(coeffs_ch1, coeffs_ch2):
     """Kurtosis scores for every node present in both channel coefficient
     maps. Degenerate (zero-variance) channels score NaN."""
-    scores = []
-    for node in sorted(set(coeffs_ch1) & set(coeffs_ch2)):
-        values = []
-        for coeffs in (coeffs_ch1[node], coeffs_ch2[node]):
-            try:
-                values.append(kurtosis(coeffs))
-            except DegenerateInputError:
-                values.append(float("nan"))
-        scores.append(NodeScore(node=node, kurtosis_ch1=values[0], kurtosis_ch2=values[1]))
-    return scores
+    return [
+        NodeScore(
+            node, *(float(row_kurtosis(c[node])) for c in (coeffs_ch1, coeffs_ch2))
+        )
+        for node in sorted(set(coeffs_ch1) & set(coeffs_ch2))
+    ]
 
 
-def _band_low(node, fs_hz):
-    level, position = node
-    return position * fs_hz / 2.0 ** (level + 1)
+def rank_key(node, value, fs_hz: int = PIPELINE_RATE_HZ):
+    """Selection order of a node scoring value, smallest first: higher
+    kurtosis, then the lower band, then the shallower node."""
+    return (-value, CbTree(fs_hz, ()).band(*node)[0], node[0])
 
 
-def select_best_node(scores, fs_hz: int = 8000) -> NodeScore:
-    """Node maximizing the combined (min-over-channels) kurtosis.
-
-    Ties break toward the lower-frequency, then shallower, node. Nodes
-    without finite scores on both channels are skipped.
-    """
-    usable = [s for s in scores if np.isfinite(s.combined)]
+def _best(scores, value, fs_hz):
+    usable = [s for s in scores if np.isfinite(value(s))]
     if not usable:
         raise SelectionError("every node scored as degenerate on some channel")
-    return min(
-        usable,
-        key=lambda s: (-s.combined, _band_low(s.node, fs_hz), s.node[0]),
-    )
+    return min(usable, key=lambda s: rank_key(s.node, value(s), fs_hz))
 
 
-def select_best_per_channel(scores, fs_hz: int = 8000):
+def select_best_node(scores, fs_hz: int = PIPELINE_RATE_HZ) -> NodeScore:
+    """Node maximizing the combined (min-over-channels) kurtosis, ranked by
+    rank_key. Nodes without finite scores on both channels are skipped."""
+    return _best(scores, lambda s: s.combined, fs_hz)
+
+
+def select_best_per_channel(scores, fs_hz: int = PIPELINE_RATE_HZ):
     """Literal per-channel reading: the best node for each mixture channel
-    independently, with the same tie-break. Returns (node_ch1, node_ch2)."""
-    picked = []
-    for attr in ("kurtosis_ch1", "kurtosis_ch2"):
-        usable = [s for s in scores if np.isfinite(getattr(s, attr))]
-        if not usable:
-            raise SelectionError("every node scored as degenerate on some channel")
-        best = min(
-            usable,
-            key=lambda s: (-getattr(s, attr), _band_low(s.node, fs_hz), s.node[0]),
-        )
-        picked.append(best.node)
-    return tuple(picked)
+    independently, with the same ranking. Returns (node_ch1, node_ch2)."""
+    return tuple(
+        _best(scores, lambda s, attr=attr: getattr(s, attr), fs_hz).node
+        for attr in ("kurtosis_ch1", "kurtosis_ch2")
+    )
 
 
 @dataclass(frozen=True)

@@ -207,12 +207,16 @@ def test_criterion_8_gaussian_unidentifiability():
     x = np.vstack([x1.samples, x2.samples])
     opts = IcaOptions(seed=0, max_iterations=200)
     model = fastica(x, opts)
-    terminated = model.iterations <= opts.max_iterations
-    flagged_or_unconstrained = (not model.converged) or amari_index(
-        model.combined @ EQ8_MATRIX
-    ) >= 0.0
+    # no rotation is identifiable here; the fit must still end within its
+    # budget with a finite orthonormal rotation
+    rotation = model.rotation
+    ok = (
+        model.iterations <= opts.max_iterations
+        and np.all(np.isfinite(rotation))
+        and np.max(np.abs(rotation @ rotation.T - np.eye(2))) <= 1e-9
+    )
     _report(
         8,
         f"gaussian sources: iterations={model.iterations}, converged={model.converged}",
-        terminated and flagged_or_unconstrained,
+        ok,
     )

@@ -56,6 +56,14 @@ class TestReadWav:
         with pytest.raises(WavFormatError, match="channels"):
             read_wav(path)
 
+    def test_rejects_partial_sample_in_data_chunk(self, tmp_path):
+        path = tmp_path / "full.wav"
+        write_wav(Signal(np.linspace(-0.5, 0.5, 100), 8000), path)
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(WavFormatError, match="data chunk"):
+            read_wav(cut)
+
     def test_rejects_8_bit(self, tmp_path):
         path = tmp_path / "pcm8.wav"
         _write_raw_wav(path, b"\x80", sampwidth=1)

@@ -1,10 +1,21 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bss_uwpd import Signal, evaluate_pair, read_wav, synth_source, write_wav
-from bss_uwpd.cli import main
+from bss_uwpd import (
+    ParameterError,
+    Signal,
+    evaluate_pair,
+    read_wav,
+    synth_source,
+    write_wav,
+)
+from bss_uwpd.cli import _parse_lags, _parse_matrix, main
 
 from helpers import speechlike_pair
 
@@ -61,6 +72,15 @@ class TestMix:
         refs = np.vstack([read_wav(p).samples for p in speech_wavs])
         assert np.max(np.abs(recovered - refs[:, : recovered.shape[1]])) < 1e-3
 
+    def test_non_numeric_matrix_entry(self, tmp_path, speech_wavs, capsys):
+        with pytest.raises(ParameterError):
+            _parse_matrix("1,2,x,4")
+        code = main(["mix", str(speech_wavs[0]), str(speech_wavs[1]),
+                     "--matrix", "1,2,x,4", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "--matrix" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unreadable_input(self, tmp_path):
         code = main(["mix", str(tmp_path / "missing.wav"), str(tmp_path / "x.wav"),
                      "--out", str(tmp_path / "out")])
@@ -83,6 +103,25 @@ class TestSeparate:
         assert record["seed"] == 3
         assert isinstance(record["iterations"], int)
         assert isinstance(record["converged"], bool)
+
+    def test_non_numeric_lags(self, tmp_path, mixture_dir):
+        for text in ("1-x", "1,x"):
+            with pytest.raises(ParameterError):
+                _parse_lags(text)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["separate", str(mixture_dir / "mix1.wav"),
+                  str(mixture_dir / "mix2.wav"), "--method", "sobi",
+                  "--lags", "1-x", "--out", str(tmp_path / "sep")])
+        assert exit_info.value.code == 2
+
+    def test_truncated_wav_exits_2(self, tmp_path, mixture_dir, capsys):
+        data = (mixture_dir / "mix1.wav").read_bytes()
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes(data[:-1])
+        code = main(["separate", str(cut), str(mixture_dir / "mix2.wav"),
+                     "--method", "sobi", "--out", str(tmp_path / "sep")])
+        assert code == 2
+        assert "data chunk" in capsys.readouterr().err
 
     def test_sobi_record_has_no_node(self, tmp_path, mixture_dir):
         out = tmp_path / "sep"
@@ -196,6 +235,31 @@ class TestExperiment:
                      "--out", str(out)])
         assert code != 0
         assert not out.exists()
+
+    def test_artifacts_do_not_depend_on_blas_threads(self, tmp_path):
+        # long enough that OpenBLAS splits a full-length dot over threads
+        s1, s2 = speechlike_pair(32768, seed=2)
+        wavs = [tmp_path / "s1.wav", tmp_path / "s2.wav"]
+        for source, path in zip((s1, s2), wavs):
+            write_wav(Signal(0.2 * source.samples, 8000), path)
+        src = Path(__file__).resolve().parents[1] / "src"
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+            )
+            subprocess.run(
+                [sys.executable, "-m", "bss_uwpd.cli", "experiment",
+                 str(wavs[0]), str(wavs[1]), "--out", str(out), "--seed", "5"],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_proposed_and_fastica_exceed_30db(self, tmp_path):
         s1, s2 = speechlike_pair(32768, seed=1)

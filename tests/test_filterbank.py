@@ -7,10 +7,10 @@ from bss_uwpd import (
     UnsupportedRateError,
     build_cb_tree,
     db4_filters,
-    decompose,
     decompose_nodes,
     format_tree,
     uwpd_step,
+    walk,
 )
 
 
@@ -24,8 +24,26 @@ def tree():
     return build_cb_tree(8000)
 
 
-def weighted_energy(leaves):
-    return sum(2.0 ** (-lc.node[0]) * (lc.coeffs @ lc.coeffs) for lc in leaves)
+def leaf_energies(signal, tree, filters):
+    """Level-weighted energy of every leaf, keyed by node."""
+    nodes = decompose_nodes(signal, tree, filters)
+    return {
+        (leaf.level, leaf.position): 2.0 ** (-leaf.level)
+        * (nodes[(leaf.level, leaf.position)] @ nodes[(leaf.level, leaf.position)])
+        for leaf in tree.leaves
+    }
+
+
+def roll_step(coeffs, filters, level):
+    """Reference undecimated step: one np.roll copy per tap."""
+    stride = 2 ** (level - 1)
+    approx = np.zeros_like(coeffs)
+    detail = np.zeros_like(coeffs)
+    for k in range(filters.h.size):
+        rolled = np.roll(coeffs, k * stride)
+        approx += filters.h[k] * rolled
+        detail += filters.g[k] * rolled
+    return approx, detail
 
 
 class TestDb4Filters:
@@ -76,6 +94,21 @@ class TestUwpdStep:
         assert np.array_equal(np.roll(a1, 21), a2)
         assert np.array_equal(np.roll(d1, 21), d2)
 
+    @pytest.mark.parametrize("n", [64, 65, 100, 4097])
+    def test_equals_roll_reference(self, filters, n):
+        # at level 5 the tap shifts reach 112, beyond n = 64, 65 and 100
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((2, n))
+        for level in range(1, 6):
+            stacked = uwpd_step(x, filters, level)
+            for row in range(2):
+                expected = roll_step(x[row], filters, level)
+                single = uwpd_step(x[row], filters, level)
+                for got, want in zip(single, expected):
+                    assert np.array_equal(got, want)
+                for got, want in zip(stacked, expected):
+                    assert np.array_equal(got[row], want)
+
     def test_empty_input(self, filters):
         with pytest.raises(DimensionError):
             uwpd_step(np.array([]), filters, 1)
@@ -125,14 +158,14 @@ class TestDecompose:
         rng = np.random.default_rng(1)
         for n in (512, 1000, 4096, 8192):
             x = rng.standard_normal(n)
-            leaves = decompose(Signal(x, 8000), tree, filters)
-            assert abs(weighted_energy(leaves) - x @ x) < 1e-6 * (x @ x)
+            energy = sum(leaf_energies(Signal(x, 8000), tree, filters).values())
+            assert abs(energy - x @ x) < 1e-6 * (x @ x)
 
     def test_tone_lands_in_its_leaf(self, tree, filters):
         # db4 transition bands cap in-leaf concentration near 80% at level 5
         t = np.arange(8192) / 8000.0
-        leaves = decompose(Signal(np.sin(2 * np.pi * 200.0 * t), 8000), tree, filters)
-        energies = {lc.node: 2.0 ** (-lc.node[0]) * (lc.coeffs @ lc.coeffs) for lc in leaves}
+        tone = Signal(np.sin(2 * np.pi * 200.0 * t), 8000)
+        energies = leaf_energies(tone, tree, filters)
         total = sum(energies.values())
         target = next(
             l for l in tree.leaves if l.band_low_hz <= 200.0 < l.band_high_hz
@@ -148,10 +181,7 @@ class TestDecompose:
             if center == 0.0 or center == 4000.0:
                 continue
             tone = Signal(np.sin(2 * np.pi * center * t), 8000)
-            leaves = decompose(tone, tree, filters)
-            energies = {
-                lc.node: 2.0 ** (-lc.node[0]) * (lc.coeffs @ lc.coeffs) for lc in leaves
-            }
+            energies = leaf_energies(tone, tree, filters)
             assert max(energies, key=energies.get) == (leaf.level, leaf.position)
 
     def test_shift_covariance_is_exact(self, tree, filters):
@@ -180,4 +210,14 @@ class TestDecompose:
 
     def test_rate_mismatch(self, tree, filters):
         with pytest.raises(UnsupportedRateError):
-            decompose(Signal(np.ones(64), 16000), tree, filters)
+            decompose_nodes(Signal(np.ones(64), 16000), tree, filters)
+
+    def test_walk_of_stacked_channels_matches_each_channel(self, tree, filters):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((2, 700))
+        stacked = dict(walk(x, tree, filters))
+        assert set(stacked) == set(tree.nodes())
+        for row in range(2):
+            single = decompose_nodes(Signal(x[row], 8000), tree, filters)
+            for node, coeffs in single.items():
+                assert np.array_equal(stacked[node][row], coeffs)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,14 @@ from bss_uwpd import (
     Signal,
     SingularDataError,
     UnsupportedRateError,
+    db4_filters,
+    decompose_nodes,
     evaluate_pair,
+    fastica,
     mix,
+    score_nodes,
+    select_best_node,
+    select_best_per_channel,
     separate_baseline,
     separate_proposed,
     synth_source,
@@ -116,6 +124,46 @@ class TestProposed:
         short = Signal(good.samples[:4096], 8000)
         with pytest.raises(DimensionError):
             separate_proposed(good, short)
+
+
+class TestStreamedSelection:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_dict_path(self, seed):
+        s1, s2 = speechlike_pair(8192, seed=seed)
+        x1, x2 = mix((s1, s2), A)
+        filters = db4_filters()
+        nodes1 = decompose_nodes(x1, TREE, filters)
+        nodes2 = decompose_nodes(x2, TREE, filters)
+        scores = score_nodes(nodes1, nodes2)
+        opts = IcaOptions(seed=seed)
+
+        common = separate_proposed(x1, x2, opts)
+        best = select_best_node(scores, TREE.fs_hz).node
+        assert common.selected_node == best
+        model = fastica(np.vstack([nodes1[best], nodes2[best]]), opts)
+        assert np.array_equal(common.model.rotation, model.rotation)
+        assert np.array_equal(common.model.whitening.matrix, model.whitening.matrix)
+
+        per_channel = separate_proposed(x1, x2, opts, per_channel_nodes=True)
+        node1, node2 = select_best_per_channel(scores, TREE.fs_hz)
+        assert per_channel.selected_node == (node1, node2)
+        model = fastica(np.vstack([nodes1[node1], nodes2[node2]]), opts)
+        assert np.array_equal(per_channel.model.rotation, model.rotation)
+
+    def test_peak_memory_is_bounded(self):
+        # every node of both channels alive at once would be 33 blocks of
+        # 2N floats; the walk keeps about 10
+        n = 65536
+        rng = np.random.default_rng(0)
+        s1, s2 = (Signal(rng.laplace(size=n), 8000) for _ in range(2))
+        x1, x2 = mix((s1, s2), A)
+        tracemalloc.start()
+        try:
+            separate_proposed(x1, x2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 * n * 8
 
 
 class TestBaselines:
