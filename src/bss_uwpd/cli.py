@@ -160,11 +160,18 @@ def _ica_options(args, seed=None) -> IcaOptions:
 
 
 def _run_method(name: str, mixtures, opts: IcaOptions, lags) -> SeparationResult:
+    """Separate with one method; a fit that did not converge is warned
+    about on stderr, never in the artifacts."""
     if name == "proposed":
-        return separate_proposed(mixtures[0], mixtures[1], opts)
-    if name == "fastica":
-        return separate_baseline(mixtures[0], mixtures[1], METHOD_FASTICA, opts)
-    return separate_baseline(mixtures[0], mixtures[1], METHOD_SOBI, lags=lags)
+        result = separate_proposed(mixtures[0], mixtures[1], opts)
+    elif name == "fastica":
+        result = separate_baseline(mixtures[0], mixtures[1], METHOD_FASTICA, opts)
+    else:
+        result = separate_baseline(mixtures[0], mixtures[1], METHOD_SOBI, lags=lags)
+    if not result.converged:
+        print(f"warning: {name} did not converge in {result.iterations} iterations",
+              file=sys.stderr)
+    return result
 
 
 def _run_record(name: str, result: SeparationResult, seed: int, estimate_names):

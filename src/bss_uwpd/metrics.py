@@ -13,9 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import Signal
-from .errors import DegenerateInputError, DimensionError
+from .errors import (
+    DegenerateInputError,
+    DimensionError,
+    ParameterError,
+    UnsupportedRateError,
+)
 
 DB_CAP = 300.0
 
@@ -46,7 +52,12 @@ def _dot(a, b) -> float:
 
 
 def _samples(signal):
-    return signal.samples if isinstance(signal, Signal) else np.asarray(signal, float)
+    if isinstance(signal, Signal):
+        return signal.samples
+    samples = np.asarray(signal, float)
+    if not np.all(np.isfinite(samples)):
+        raise ParameterError("signal samples must be finite")
+    return samples
 
 
 def align(estimates, references):
@@ -59,14 +70,15 @@ def align(estimates, references):
     ref = [_samples(r) for r in references]
     if len({arr.size for arr in est + ref}) != 1:
         raise DimensionError("estimates and references must share one length")
-    corr = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            ei, rj = est[i], ref[j]
-            denom = ei.std() * rj.std()
-            if denom == 0.0:
-                raise DegenerateInputError("zero-variance signal cannot be aligned")
-            corr[i, j] = np.mean((ei - ei.mean()) * (rj - rj.mean())) / denom
+    est = [arr - arr.mean() for arr in est]
+    ref = [arr - arr.mean() for arr in ref]
+    norms = [np.sqrt(_dot(arr, arr)) for arr in est + ref]
+    if min(norms) == 0.0:
+        raise DegenerateInputError("zero-variance signal cannot be aligned")
+    corr = np.array(
+        [[_dot(ei, rj) / (norms[i] * norms[2 + j]) for j, rj in enumerate(ref)]
+         for i, ei in enumerate(est)]
+    )
     if abs(corr[0, 0]) + abs(corr[1, 1]) >= abs(corr[0, 1]) + abs(corr[1, 0]):
         permutation = (0, 1)
     else:
@@ -97,7 +109,8 @@ def bss_decompose(estimate, references, target_index: int) -> BssDecomposition:
     refs = [_samples(r) for r in references]
     if any(r.size != e.size for r in refs):
         raise DimensionError("estimate and references must share one length")
-    gram = np.array([[_dot(r, s) for s in refs] for r in refs])
+    cross = _dot(refs[0], refs[1])
+    gram = np.array([[_dot(refs[0], refs[0]), cross], [cross, _dot(refs[1], refs[1])]])
     target_energy = gram[target_index, target_index]
     if target_energy <= 0.0:
         raise DegenerateInputError("target reference carries no energy")
@@ -153,25 +166,18 @@ def segmental_snr(estimate, reference) -> float:
         raise DimensionError(
             f"need at least one {SEG_FRAME}-sample frame, got {ref.size} samples"
         )
-    gain = _ls_gain(ref, est)
-    frame_snrs = []
-    for start in range(0, ref.size - SEG_FRAME + 1, SEG_HOP):
-        ref_frame = ref[start : start + SEG_FRAME]
-        ref_energy = ref_frame @ ref_frame
-        if ref_energy <= 1e-12:
-            continue
-        residual = ref_frame - gain * est[start : start + SEG_FRAME]
-        noise_energy = residual @ residual
-        if noise_energy <= 0.0:
-            frame_snrs.append(SEG_CEIL_DB)
-        else:
-            frame_snrs.append(
-                float(np.clip(10.0 * np.log10(ref_energy / noise_energy),
-                              SEG_FLOOR_DB, SEG_CEIL_DB))
-            )
-    if not frame_snrs:
+    residual = ref - _ls_gain(ref, est) * est
+    ref_frames = sliding_window_view(ref, SEG_FRAME)[::SEG_HOP]
+    noise_frames = sliding_window_view(residual, SEG_FRAME)[::SEG_HOP]
+    ref_energy = np.einsum("ij,ij->i", ref_frames, ref_frames)
+    noise_energy = np.einsum("ij,ij->i", noise_frames, noise_frames)
+    voiced = ref_energy > 1e-12
+    if not voiced.any():
         raise DegenerateInputError("reference is silent in every frame")
-    return float(np.mean(frame_snrs))
+    with np.errstate(divide="ignore"):
+        ratios = ref_energy[voiced] / noise_energy[voiced]
+    # a noiseless frame divides to +inf, which the ceiling clips to 35 dB
+    return float(np.mean(np.clip(10.0 * np.log10(ratios), SEG_FLOOR_DB, SEG_CEIL_DB)))
 
 
 def overall_snr(estimate, reference) -> float:
@@ -208,21 +214,25 @@ def evaluate_pair(estimates, references) -> MetricsReport:
     """Align two estimates with two references and score every metric.
 
     per_source[k] holds the metrics of the estimate matched to reference k.
+    Signals of different sample rates are rejected.
     """
+    rates = {s.sample_rate_hz for s in (*estimates, *references) if isinstance(s, Signal)}
+    if len(rates) > 1:
+        raise UnsupportedRateError(
+            f"estimates and references must share one sample rate, got {sorted(rates)} Hz"
+        )
     permutation, signs = align(estimates, references)
-    refs = [_samples(r) for r in references]
-    ests = [_samples(e) for e in estimates]
     per_source = []
     for source_index in range(2):
         estimate_index = permutation.index(source_index)
-        aligned = signs[estimate_index] * ests[estimate_index]
-        decomposition = bss_decompose(aligned, refs, source_index)
+        aligned = signs[estimate_index] * _samples(estimates[estimate_index])
+        decomposition = bss_decompose(aligned, references, source_index)
         per_source.append(
             SourceMetrics(
                 sir_db=sir(decomposition),
                 sdr_db=sdr(decomposition),
-                seg_snr_db=segmental_snr(aligned, refs[source_index]),
-                overall_snr_db=overall_snr(aligned, refs[source_index]),
+                seg_snr_db=segmental_snr(aligned, references[source_index]),
+                overall_snr_db=overall_snr(aligned, references[source_index]),
             )
         )
     return MetricsReport(

@@ -123,6 +123,21 @@ class TestSeparate:
         assert code == 2
         assert "data chunk" in capsys.readouterr().err
 
+    def test_non_convergence_warns_on_stderr(self, tmp_path, mixture_dir, capsys):
+        mixes = [str(mixture_dir / "mix1.wav"), str(mixture_dir / "mix2.wav")]
+        out = tmp_path / "sep"
+        code = main(["separate", *mixes, "--method", "fastica", "--max-iter", "1",
+                     "--out", str(out)])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: fastica did not converge in 1 iterations\n"
+        assert "warning" not in captured.out
+        record = json.loads((out / "runs.jsonl").read_text().splitlines()[0])
+        assert record["converged"] is False
+        assert record["iterations"] == 1
+        main(["separate", *mixes, "--method", "sobi", "--out", str(tmp_path / "sobi")])
+        assert capsys.readouterr().err == ""
+
     def test_sobi_record_has_no_node(self, tmp_path, mixture_dir):
         out = tmp_path / "sep"
         main(["separate", str(mixture_dir / "mix1.wav"),
@@ -174,6 +189,16 @@ class TestEvaluate:
             mean = np.mean([row[column] for row in sources])
             assert abs(average[column] - mean) < 1e-9
 
+    def test_mismatched_sample_rates_exit_2(self, tmp_path, speech_wavs, capsys):
+        refs = []
+        for index, path in enumerate(speech_wavs, start=1):
+            ref = tmp_path / f"ref{index}_16k.wav"
+            write_wav(Signal(read_wav(path).samples, 16000), ref)
+            refs.append(str(ref))
+        code = main(["evaluate", str(speech_wavs[0]), str(speech_wavs[1]), *refs])
+        assert code == 2
+        assert "sample rate" in capsys.readouterr().err
+
 
 class TestExperiment:
     def test_full_run_report(self, tmp_path, speech_wavs):
@@ -221,6 +246,18 @@ class TestExperiment:
         rows = [json.loads(line) for line in (out / "report.jsonl").read_text().splitlines()]
         assert {row["method"] for row in rows} == {"sobi"}
         assert not (out / "est_proposed_1.wav").exists()
+
+    def test_non_convergence_warns_outside_artifacts(self, tmp_path, speech_wavs, capsys):
+        out = tmp_path / "exp"
+        code = main(["experiment", str(speech_wavs[0]), str(speech_wavs[1]),
+                     "--max-iter", "1", "--out", str(out), "--seed", "4"])
+        assert code == 0
+        err = capsys.readouterr().err
+        for method in ("proposed", "fastica"):
+            assert f"warning: {method} did not converge in 1 iterations" in err
+        assert "sobi" not in err
+        for artifact in out.iterdir():
+            assert b"warning" not in artifact.read_bytes(), artifact.name
 
     def test_missing_input_leaves_no_artifacts(self, tmp_path, speech_wavs):
         out = tmp_path / "exp"

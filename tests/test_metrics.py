@@ -4,7 +4,9 @@ import pytest
 from bss_uwpd import (
     DegenerateInputError,
     DimensionError,
+    ParameterError,
     Signal,
+    UnsupportedRateError,
     align,
     bss_decompose,
     evaluate_pair,
@@ -55,6 +57,38 @@ class TestAlign:
         live = np.arange(128.0)
         with pytest.raises(DegenerateInputError):
             align([flat, live], [live, live])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_pairwise_correlation_loop(self, seed):
+        # references of unlike scale and large offsets; estimates of arbitrary
+        # mixing and unlike noise, with sign flips and, on odd seeds, swapped rows
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(300, 5000))
+        sources = rng.standard_normal((2, n))
+        scales = 10.0 ** rng.uniform(-2.0, 2.0, (2, 1))
+        refs = scales * (sources + rng.normal(0.0, 3.0, (2, 1)))
+        noise = rng.uniform(0.0, 3.0, (2, 1)) * rng.standard_normal((2, n))
+        estimates = rng.standard_normal((2, 2)) @ sources + noise
+        estimates = rng.choice([-1.0, 1.0], (2, 1)) * estimates + rng.normal(0.0, 3.0, (2, 1))
+        if seed % 2:
+            estimates = estimates[::-1]
+        assert align(estimates, refs) == _align_oracle(estimates, refs)
+
+
+def _align_oracle(est, ref):
+    """The per-pair correlation loop: two means, two deviations and a
+    product mean for each of the four pairs."""
+    corr = np.empty((2, 2))
+    for i in range(2):
+        for j in range(2):
+            ei, rj = est[i], ref[j]
+            corr[i, j] = np.mean((ei - ei.mean()) * (rj - rj.mean())) / (ei.std() * rj.std())
+    if abs(corr[0, 0]) + abs(corr[1, 1]) >= abs(corr[0, 1]) + abs(corr[1, 0]):
+        permutation = (0, 1)
+    else:
+        permutation = (1, 0)
+    signs = tuple(1 if corr[i, permutation[i]] >= 0 else -1 for i in range(2))
+    return permutation, signs
 
 
 class TestBssDecompose:
@@ -201,6 +235,32 @@ class TestSegmentalSnr:
         with pytest.raises(DimensionError):
             segmental_snr(np.ones(100), np.ones(100))
 
+    @pytest.mark.parametrize("silent_head", [False, True])
+    @pytest.mark.parametrize("n", [256, 257, 383, 384, 385, 4097, 32785])
+    def test_matches_oracle_at_frame_boundaries(self, n, silent_head):
+        rng = np.random.default_rng(n)
+        ref = rng.standard_normal(n)
+        if silent_head:
+            ref[: n // 3] = 0.0
+        est = 0.7 * ref + rng.uniform(0.05, 2.0) * rng.standard_normal(n)
+        assert abs(segmental_snr(est, ref) - _segmental_oracle(est, ref)) < 1e-12
+
+    @pytest.mark.parametrize("n", [256, 4097])
+    def test_zero_estimate_scores_zero_db(self, n):
+        # gain 0 leaves the reference itself as the residual of every frame
+        ref = np.random.default_rng(n + 2).standard_normal(n)
+        assert segmental_snr(np.zeros(n), ref) == 0.0
+
+    @pytest.mark.parametrize("n", [256, 385, 32785])
+    def test_exact_estimate_hits_ceiling(self, n):
+        ref = np.random.default_rng(n + 3).standard_normal(n)
+        ref[: n // 3] = 0.0
+        assert segmental_snr(ref, ref) == 35.0
+
+    def test_silent_reference_rejected(self):
+        with pytest.raises(DegenerateInputError):
+            segmental_snr(np.ones(1024), np.zeros(1024))
+
 
 class TestOverallSnr:
     def test_scale_invariant_perfect_recovery(self):
@@ -260,3 +320,37 @@ class TestEvaluatePair:
         assert report.permutation == (1, 0)
         assert report.signs == (-1, 1)
         assert all(source.sir_db == 300.0 for source in report.per_source)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raw_arrays_rejected(self, bad):
+        rng = np.random.default_rng(17)
+        refs = rng.standard_normal((2, 1024))
+        estimates = refs + 0.1 * rng.standard_normal((2, 1024))
+        estimates[1, 300] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            evaluate_pair(estimates, refs)
+        for call in (
+            lambda: align(estimates, refs),
+            lambda: bss_decompose(estimates[1], refs, 0),
+            lambda: bss_decompose(refs[0], estimates, 0),
+            lambda: segmental_snr(estimates[1], refs[1]),
+            lambda: overall_snr(refs[1], estimates[1]),
+        ):
+            with pytest.raises(ParameterError, match="finite"):
+                call()
+
+    def test_mismatched_sample_rates_rejected(self):
+        rng = np.random.default_rng(18)
+        a, b = rng.standard_normal((2, 2048))
+        with pytest.raises(UnsupportedRateError):
+            evaluate_pair(
+                (Signal(a, 8000), Signal(b, 8000)),
+                (Signal(a, 16000), Signal(b, 16000)),
+            )
+        with pytest.raises(UnsupportedRateError):
+            evaluate_pair(
+                (Signal(a, 8000), Signal(b, 8000)),
+                (Signal(a, 8000), Signal(b, 16000)),
+            )
