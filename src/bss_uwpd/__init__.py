@@ -33,7 +33,6 @@ from .filterbank import (
     build_cb_tree,
     db4_filters,
     decompose_nodes,
-    format_tree,
     uwpd_step,
     walk,
 )
@@ -70,7 +69,6 @@ from .stats import (
     kurtosis,
     score_nodes,
     select_best_node,
-    select_best_per_channel,
 )
 
 __version__ = "0.1.0"

@@ -33,6 +33,7 @@ from .errors import BssError, DegenerateInputError, ParameterError
 from .metrics import evaluate_pair
 from .pipeline import (
     METHOD_FASTICA,
+    METHOD_PROPOSED,
     METHOD_SOBI,
     SeparationResult,
     separate_baseline,
@@ -42,7 +43,7 @@ from .separators import DEFAULT_SOBI_LAGS, IcaOptions
 
 DEFAULT_MATRIX = ((2.0, 1.0), (1.0, 1.0))
 MIX_PEAK = 0.9
-METHOD_NAMES = ("proposed", "fastica", "sobi")
+METHOD_NAMES = (METHOD_PROPOSED, METHOD_FASTICA, METHOD_SOBI)
 
 METRIC_COLUMNS = ("SIR", "SDR", "segSNR", "overallSNR")
 
@@ -150,24 +151,22 @@ def _make_mixtures(sources, matrix: MixingMatrix):
     )
 
 
-def _ica_options(args, seed=None) -> IcaOptions:
+def _ica_options(args) -> IcaOptions:
     return IcaOptions(
         contrast=args.contrast,
         tolerance=args.tol,
         max_iterations=args.max_iter,
-        seed=args.seed if seed is None else seed,
+        seed=args.seed,
     )
 
 
 def _run_method(name: str, mixtures, opts: IcaOptions, lags) -> SeparationResult:
     """Separate with one method; a fit that did not converge is warned
     about on stderr, never in the artifacts."""
-    if name == "proposed":
+    if name == METHOD_PROPOSED:
         result = separate_proposed(mixtures[0], mixtures[1], opts)
-    elif name == "fastica":
-        result = separate_baseline(mixtures[0], mixtures[1], METHOD_FASTICA, opts)
     else:
-        result = separate_baseline(mixtures[0], mixtures[1], METHOD_SOBI, lags=lags)
+        result = separate_baseline(mixtures[0], mixtures[1], name, opts, lags)
     if not result.converged:
         print(f"warning: {name} did not converge in {result.iterations} iterations",
               file=sys.stderr)

@@ -229,12 +229,3 @@ def decompose_nodes(signal: Signal, tree: CbTree, filters: FilterPair):
         )
     return dict(walk(signal.samples, tree, filters))
 
-
-def format_tree(tree: CbTree) -> str:
-    """Text table of the tree: one 'level position low high cbw' line per leaf."""
-    lines = [
-        f"{leaf.level} {leaf.position} {leaf.band_low_hz:.1f} "
-        f"{leaf.band_high_hz:.1f} {leaf.cbw_target_hz:.1f}"
-        for leaf in tree.leaves
-    ]
-    return "\n".join(lines)

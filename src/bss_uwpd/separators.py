@@ -2,8 +2,8 @@
 
 Both estimators whiten first and then search for an orthonormal rotation:
 FastICA by a symmetric fixed-point iteration maximizing a negentropy-style
-contrast, SOBI by jointly diagonalizing lagged covariance matrices with
-Givens rotations.
+contrast, SOBI by jointly diagonalizing lagged covariance matrices with one
+closed-form Givens rotation.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .stats import WhiteningModel, fit_whitening
+from .stats import WhiteningModel, as_pair, fit_whitening
 
 DEFAULT_SOBI_LAGS = tuple(range(1, 21))
 
@@ -103,12 +103,8 @@ def fastica(x, opts: IcaOptions | None = None) -> UnmixingModel:
     """
     if opts is None:
         opts = IcaOptions()
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != 2:
-        raise DimensionError(f"expected 2-channel data shaped (2, N), got {x.shape}")
+    x = as_pair(x, 64, "fastica")
     n = x.shape[1]
-    if n < 64:
-        raise DimensionError(f"fastica needs >= 64 samples, got {n}")
     whitening = fit_whitening(x)
     z = whitening.transform(x)
     g_pair = _CONTRASTS[opts.contrast]
@@ -131,53 +127,30 @@ def fastica(x, opts: IcaOptions | None = None) -> UnmixingModel:
     )
 
 
-def joint_diagonalize(matrices, threshold: float = 1e-12, max_sweeps: int = 100):
-    """Approximate joint diagonalizer of real symmetric matrices by Jacobi
-    sweeps of Givens rotations.
+def joint_diagonalize(matrices):
+    """Joint diagonalizer of real symmetric 2x2 matrices by one Givens
+    rotation, whose angle is the closed-form optimum for a single index
+    pair (Cardoso and Souloumiac, 1996).
 
     Returns (v, off_history) where v is orthonormal with v.T @ M @ v as
-    diagonal as possible for every input M, and off_history records the
-    summed squared off-diagonal energy after each sweep (non-increasing).
+    diagonal as possible for every input M, and off_history holds the
+    summed squared off-diagonal energy before and after the rotation.
     """
-    a = np.stack([np.asarray(m, dtype=np.float64) for m in matrices])
-    m = a.shape[1]
-    v = np.eye(m)
-
-    def off_energy():
-        total = 0.0
-        for k in range(a.shape[0]):
-            total += (a[k] ** 2).sum() - (np.diag(a[k]) ** 2).sum()
-        return total
-
-    off_history = [off_energy()]
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                h1 = a[:, p, p] - a[:, q, q]
-                h2 = a[:, p, q] + a[:, q, p]
-                gram = np.array([[h1 @ h1, h1 @ h2], [h2 @ h1, h2 @ h2]])
-                evals, evecs = np.linalg.eigh(gram)
-                angles = evecs[:, -1]
-                if angles[0] < 0.0:
-                    angles = -angles
-                c = np.sqrt(0.5 * (angles[0] + 1.0))
-                s = 0.5 * angles[1] / c
-                if abs(s) <= threshold:
-                    continue
-                rotated = True
-                col_p, col_q = a[:, :, p].copy(), a[:, :, q].copy()
-                a[:, :, p] = c * col_p + s * col_q
-                a[:, :, q] = c * col_q - s * col_p
-                row_p, row_q = a[:, p, :].copy(), a[:, q, :].copy()
-                a[:, p, :] = c * row_p + s * row_q
-                a[:, q, :] = c * row_q - s * row_p
-                v_p = v[:, p].copy()
-                v[:, p] = c * v_p + s * v[:, q]
-                v[:, q] = c * v[:, q] - s * v_p
-        off_history.append(off_energy())
-        if not rotated:
-            break
+    a = np.asarray(matrices, dtype=np.float64)
+    if a.shape[1:] != (2, 2) or len(a) == 0:
+        raise DimensionError(f"expected a stack of 2x2 matrices, got shape {a.shape}")
+    h1 = a[:, 0, 0] - a[:, 1, 1]
+    h2 = a[:, 0, 1] + a[:, 1, 0]
+    gram = np.array([[h1 @ h1, h1 @ h2], [h2 @ h1, h2 @ h2]])
+    angles = np.linalg.eigh(gram)[1][:, -1]
+    if angles[0] < 0.0:
+        angles = -angles
+    c = np.sqrt(0.5 * (angles[0] + 1.0))
+    s = 0.5 * angles[1] / c
+    v = np.eye(2) if abs(s) <= 1e-12 else np.array([[c, -s], [s, c]])
+    off_history = [
+        float(np.sum(m[:, 0, 1] ** 2 + m[:, 1, 0] ** 2)) for m in (a, v.T @ a @ v)
+    ]
     return v, off_history
 
 
@@ -189,9 +162,7 @@ def sobi(x, lags=DEFAULT_SOBI_LAGS) -> UnmixingModel:
     to a scalar multiple of identity (spectrally identical channels) the
     returned model carries ill_conditioned=True.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != 2:
-        raise DimensionError(f"expected 2-channel data shaped (2, N), got {x.shape}")
+    x = as_pair(x, 2, "sobi")
     n = x.shape[1]
     lags = tuple(int(lag) for lag in lags)
     if not lags:

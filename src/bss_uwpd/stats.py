@@ -80,26 +80,13 @@ def rank_key(node, value, fs_hz: int = PIPELINE_RATE_HZ):
     return (-value, CbTree(fs_hz, ()).band(*node)[0], node[0])
 
 
-def _best(scores, value, fs_hz):
-    usable = [s for s in scores if np.isfinite(value(s))]
-    if not usable:
-        raise SelectionError("every node scored as degenerate on some channel")
-    return min(usable, key=lambda s: rank_key(s.node, value(s), fs_hz))
-
-
 def select_best_node(scores, fs_hz: int = PIPELINE_RATE_HZ) -> NodeScore:
     """Node maximizing the combined (min-over-channels) kurtosis, ranked by
     rank_key. Nodes without finite scores on both channels are skipped."""
-    return _best(scores, lambda s: s.combined, fs_hz)
-
-
-def select_best_per_channel(scores, fs_hz: int = PIPELINE_RATE_HZ):
-    """Literal per-channel reading: the best node for each mixture channel
-    independently, with the same ranking. Returns (node_ch1, node_ch2)."""
-    return tuple(
-        _best(scores, lambda s, attr=attr: getattr(s, attr), fs_hz).node
-        for attr in ("kurtosis_ch1", "kurtosis_ch2")
-    )
+    usable = [s for s in scores if np.isfinite(s.combined)]
+    if not usable:
+        raise SelectionError("every node scored as degenerate on some channel")
+    return min(usable, key=lambda s: rank_key(s.node, s.combined, fs_hz))
 
 
 @dataclass(frozen=True)
@@ -122,19 +109,26 @@ class WhiteningModel:
         return self.matrix @ (x - self.mean[:, None])
 
 
-def fit_whitening(x) -> WhiteningModel:
-    """Fit mean and whitening matrix D^(-1/2) E^T from the eigendecomposition
-    of the (biased) sample covariance of 2-channel data shaped (2, N)."""
+def as_pair(x, min_samples: int, what: str) -> np.ndarray:
+    """x as float64 2-channel data shaped (2, N) with N >= min_samples;
+    what names the consumer in the error message."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != 2:
         raise DimensionError(f"expected 2-channel data shaped (2, N), got {x.shape}")
-    if x.shape[1] < 2:
-        raise DimensionError("whitening needs at least 2 samples")
+    if x.shape[1] < min_samples:
+        raise DimensionError(f"{what} needs >= {min_samples} samples, got {x.shape[1]}")
+    return x
+
+
+def fit_whitening(x) -> WhiteningModel:
+    """Fit mean and whitening matrix D^(-1/2) E^T from the eigendecomposition
+    of the (biased) sample covariance of 2-channel data shaped (2, N)."""
+    x = as_pair(x, 2, "whitening")
     mean = x.mean(axis=1)
     centered = x - mean[:, None]
     cov = centered @ centered.T / x.shape[1]
     evals, evecs = np.linalg.eigh(cov)
-    if evals[0] <= 1e-12 * max(evals[-1], 1.0):
+    if evals[0] <= 1e-12 * evals[-1]:
         raise SingularDataError(
             "covariance is rank-deficient; channels are (nearly) collinear"
         )

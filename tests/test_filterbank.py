@@ -8,7 +8,6 @@ from bss_uwpd import (
     build_cb_tree,
     db4_filters,
     decompose_nodes,
-    format_tree,
     uwpd_step,
     walk,
 )
@@ -146,11 +145,6 @@ class TestCbTree:
     def test_rejects_other_rates(self):
         with pytest.raises(UnsupportedRateError):
             build_cb_tree(16000)
-
-    def test_text_dump(self, tree):
-        lines = format_tree(tree).splitlines()
-        assert len(lines) == len(tree.leaves)
-        assert lines[0].split() == ["5", "0", "0.0", "125.0", "100.0"]
 
 
 class TestDecompose:

@@ -7,6 +7,7 @@ from bss_uwpd import (
     DimensionError,
     IcaOptions,
     METHOD_FASTICA,
+    METHOD_PROPOSED,
     METHOD_SOBI,
     MixingMatrix,
     ParameterError,
@@ -20,7 +21,6 @@ from bss_uwpd import (
     mix,
     score_nodes,
     select_best_node,
-    select_best_per_channel,
     separate_baseline,
     separate_proposed,
     synth_source,
@@ -104,18 +104,6 @@ class TestProposed:
         for i, estimate in enumerate(result.estimates):
             assert np.max(np.abs(estimate.samples - raw[i])) < 1e-12
 
-    def test_per_channel_node_flag(self, mixture):
-        s1, s2, x1, x2 = mixture
-        result = separate_proposed(x1, x2, IcaOptions(seed=7), per_channel_nodes=True)
-        node1, node2 = result.selected_node
-        assert len(node1) == 2 and len(node2) == 2
-        assert _min_sir(result, (s1, s2)) > 15.0
-
-    def test_refit_whitening_flag(self, mixture):
-        s1, s2, x1, x2 = mixture
-        result = separate_proposed(x1, x2, IcaOptions(seed=8), refit_whitening=True)
-        assert _min_sir(result, (s1, s2)) > 15.0
-
     def test_rate_and_length_checks(self):
         good = synth_source("gaussian", 8192, seed=9)
         wrong_rate = Signal(good.samples, 16000)
@@ -124,6 +112,27 @@ class TestProposed:
         short = Signal(good.samples[:4096], 8000)
         with pytest.raises(DimensionError):
             separate_proposed(good, short)
+
+
+class TestScale:
+    @pytest.mark.parametrize("scale", [1e-8, 1e-6])
+    @pytest.mark.parametrize("method", [METHOD_PROPOSED, METHOD_FASTICA, METHOD_SOBI])
+    def test_tiny_mixtures_separate_as_at_unit_scale(self, method, scale):
+        # variance 1e-16..1e-12: whitening must not reject data for its scale
+        s1, s2 = speechlike_pair(4096, seed=3)
+        x1, x2 = mix((s1, s2), A)
+
+        def sirs(k):
+            y1, y2 = (Signal(k * x.samples, 8000) for x in (x1, x2))
+            if method == METHOD_PROPOSED:
+                result = separate_proposed(y1, y2)
+            else:
+                result = separate_baseline(y1, y2, method)
+            assert all(np.isfinite(e.samples).all() for e in result.estimates)
+            report = evaluate_pair(result.estimates, (s1, s2))
+            return [source.sir_db for source in report.per_source]
+
+        assert np.allclose(sirs(scale), sirs(1.0), rtol=0.0, atol=0.1)
 
 
 class TestStreamedSelection:
@@ -143,12 +152,6 @@ class TestStreamedSelection:
         model = fastica(np.vstack([nodes1[best], nodes2[best]]), opts)
         assert np.array_equal(common.model.rotation, model.rotation)
         assert np.array_equal(common.model.whitening.matrix, model.whitening.matrix)
-
-        per_channel = separate_proposed(x1, x2, opts, per_channel_nodes=True)
-        node1, node2 = select_best_per_channel(scores, TREE.fs_hz)
-        assert per_channel.selected_node == (node1, node2)
-        model = fastica(np.vstack([nodes1[node1], nodes2[node2]]), opts)
-        assert np.array_equal(per_channel.model.rotation, model.rotation)
 
     def test_peak_memory_is_bounded(self):
         # every node of both channels alive at once would be 33 blocks of
@@ -192,5 +195,6 @@ class TestBaselines:
 
     def test_unknown_method(self, mixture):
         _, _, x1, x2 = mixture
-        with pytest.raises(ParameterError):
-            separate_baseline(x1, x2, "jade")
+        for name in ("jade", "fastica_plain"):
+            with pytest.raises(ParameterError):
+                separate_baseline(x1, x2, name)

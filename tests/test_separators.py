@@ -114,6 +114,36 @@ class TestSobi:
         _, history = joint_diagonalize(mats)
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
+    def test_one_rotation_on_near_scalar_identity(self):
+        # lagged covariances of spectrally identical channels: the rotation
+        # acts on rounding-level structure, and one closed-form angle must
+        # still be the optimum of a fine angle grid
+        rng = np.random.default_rng(21)
+        angles = np.linspace(-np.pi / 4, np.pi / 4, 721)
+        for _ in range(50):
+            mats = []
+            for scalar in rng.uniform(0.1, 1.0, 3):
+                noise = 1e-9 * rng.standard_normal((2, 2))
+                mats.append(scalar * np.eye(2) + noise + noise.T)
+            v, history = joint_diagonalize(mats)
+            assert len(history) == 2
+            assert np.allclose(v @ v.T, np.eye(2), atol=1e-15)
+            grid = []
+            for t in angles:
+                c, s = np.cos(t), np.sin(t)
+                r = np.array([[c, -s], [s, c]])
+                grid.append(sum(2.0 * (r.T @ m @ r)[0, 1] ** 2 for m in mats))
+            assert history[-1] <= min(grid) * (1.0 + 1e-9)
+
+    def test_rejects_other_shapes(self):
+        for mats in ([np.eye(3)], [], [np.ones(2)]):
+            with pytest.raises(DimensionError):
+                joint_diagonalize(mats)
+
+    def test_single_rotation_reported(self):
+        x, _ = _mixed("ar1", "ar1", pole=0.5)
+        assert sobi(x).iterations == 1
+
     def test_lag_bounds(self):
         x, _ = _mixed("ar1", "ar1", n=256, pole=0.5)
         with pytest.raises(DimensionError):

@@ -10,7 +10,6 @@ from bss_uwpd import (
     kurtosis,
     score_nodes,
     select_best_node,
-    select_best_per_channel,
 )
 
 
@@ -113,13 +112,6 @@ class TestNodeSelection:
             node: (3.7 * pair[0], 0.02 * pair[1]) for node, pair in data.items()
         }
         assert select_best_node(_score_map(rescaled)).node == baseline
-
-    def test_per_channel_selection(self):
-        rng = np.random.default_rng(10)
-        gauss = rng.standard_normal(4096)
-        peaky = rng.laplace(size=4096)
-        scores = _score_map({(5, 0): (peaky, gauss), (5, 1): (gauss, peaky)})
-        assert select_best_per_channel(scores) == ((5, 0), (5, 1))
 
 
 class TestWhitening:
