@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import wave
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
-from scipy.signal import firwin, lfilter
 
 from .errors import (
     DimensionError,
@@ -119,6 +119,17 @@ def write_wav(signal: Signal, path) -> None:
         handle.writeframes(quantized.tobytes())
 
 
+def _lowpass_taps(numtaps: int, cutoff_hz: float, rate_hz: int) -> np.ndarray:
+    """Hamming-windowed sinc low-pass with unit gain at DC, equal bit for
+    bit to scipy.signal.firwin(numtaps, cutoff_hz, fs=rate_hz)."""
+    cutoff = cutoff_hz / (0.5 * rate_hz)
+    m = np.arange(numtaps, dtype=np.float64) - 0.5 * (numtaps - 1)
+    # firwin's Hamming weight is 1.0 - 0.54, one ulp below the literal 0.46
+    window = 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, numtaps))
+    h = cutoff * np.sinc(cutoff * m) * window
+    return h / h.sum()
+
+
 def decimate_to_8k(signal: Signal) -> Signal:
     """Decimate a signal to 8 kHz with a linear-phase anti-alias FIR.
 
@@ -136,7 +147,7 @@ def decimate_to_8k(signal: Signal) -> Signal:
         )
     factor = rate // PIPELINE_RATE_HZ
     numtaps = 64 * factor + 1  # odd length: integer group delay
-    taps = firwin(numtaps, 0.45 * PIPELINE_RATE_HZ, fs=rate)
+    taps = _lowpass_taps(numtaps, 0.45 * PIPELINE_RATE_HZ, rate)
     half = (numtaps - 1) // 2
     n = signal.samples.size
     filtered = np.convolve(signal.samples, taps, mode="full")[half : half + n]
@@ -193,7 +204,9 @@ def synth_source(
             raise ParameterError(f"AR(1) pole magnitude must be < 1, got {pole}")
         burn_in = 1000
         noise = rng.standard_normal(n + burn_in)
-        samples = lfilter([1.0], [1.0, -pole], noise)[burn_in:]
+        # y[t] = pole * y[t-1] + noise[t] from y[-1] = 0, as lfilter runs it
+        ar = accumulate(noise.tolist(), lambda y, v: pole * y + v, initial=0.0)
+        samples = np.fromiter(ar, np.float64, n + burn_in + 1)[burn_in + 1 :]
     elif kind == "sine":
         if not 0.0 < freq_hz < sample_rate_hz / 2:
             raise ParameterError(

@@ -1,8 +1,13 @@
+import os
 import struct
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.signal import firwin, lfilter
 
 from bss_uwpd import (
     DimensionError,
@@ -17,6 +22,7 @@ from bss_uwpd import (
     synth_source,
     write_wav,
 )
+from bss_uwpd.audio_io import _lowpass_taps
 from bss_uwpd.stats import kurtosis
 
 from helpers import EQ8_MATRIX
@@ -138,6 +144,12 @@ class TestDecimate:
         with pytest.raises(UnsupportedRateError):
             decimate_to_8k(Signal(np.zeros(100) + 0.1, rate))
 
+    @pytest.mark.parametrize("factor", range(2, 13))
+    def test_taps_equal_firwin(self, factor):
+        rate, numtaps = 8000 * factor, 64 * factor + 1
+        taps = _lowpass_taps(numtaps, 0.45 * 8000, rate)
+        assert np.array_equal(taps, firwin(numtaps, 0.45 * 8000, fs=rate))
+
 
 class TestMix:
     def test_identity_matrix(self):
@@ -214,6 +226,16 @@ class TestSynthSource:
         assert abs(signal.samples.var() - 1.0) < 1e-9
         assert abs(signal.samples.mean()) < 1e-12
 
+    @pytest.mark.parametrize("pole", [0.9, -0.5, 0.5, 0.0, 0.99])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_ar1_equals_lfilter(self, pole, seed):
+        noise = np.random.default_rng(seed).standard_normal(3000 + 1000)
+        expected = lfilter([1.0], [1.0, -pole], noise)[1000:]
+        expected = expected - expected.mean()
+        expected = expected / expected.std()
+        got = synth_source("ar1", 3000, seed=seed, pole=pole).samples
+        assert np.array_equal(got, expected)
+
     def test_invalid_pole(self):
         with pytest.raises(ParameterError):
             synth_source("ar1", 100, seed=0, pole=1.0)
@@ -227,3 +249,20 @@ class TestSynthSource:
             synth_source("cauchy", 100, seed=0)
         with pytest.raises(ParameterError):
             synth_source("gaussian", 0, seed=0)
+
+
+def test_package_imports_without_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    code = (
+        "import sys, bss_uwpd, bss_uwpd.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, check=True, capture_output=True, text=True, timeout=120,
+    )
+    assert done.stdout.strip() == "[]"

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from bss_uwpd import (
+    BssError,
+    DegenerateInputError,
     DimensionError,
     IcaOptions,
     METHOD_FASTICA,
@@ -114,25 +116,96 @@ class TestProposed:
             separate_proposed(good, short)
 
 
+def _separate(method, x1, x2):
+    if method == METHOD_PROPOSED:
+        return separate_proposed(x1, x2)
+    return separate_baseline(x1, x2, method)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestScale:
+    @pytest.fixture(scope="class")
+    def pair(self):
+        s1, s2 = speechlike_pair(4096, seed=3)
+        return (s1, s2), mix((s1, s2), A)
+
     @pytest.mark.parametrize("scale", [1e-8, 1e-6])
     @pytest.mark.parametrize("method", [METHOD_PROPOSED, METHOD_FASTICA, METHOD_SOBI])
-    def test_tiny_mixtures_separate_as_at_unit_scale(self, method, scale):
+    def test_tiny_mixtures_separate_as_at_unit_scale(self, pair, method, scale):
         # variance 1e-16..1e-12: whitening must not reject data for its scale
-        s1, s2 = speechlike_pair(4096, seed=3)
-        x1, x2 = mix((s1, s2), A)
+        self._check_sirs_match_unit_scale(pair, method, scale)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e300])
+    @pytest.mark.parametrize("method", [METHOD_PROPOSED, METHOD_FASTICA, METHOD_SOBI])
+    def test_loud_mixtures_separate_as_at_unit_scale(self, pair, method, scale):
+        # fourth moments of 1e150-scale data overflow without the entry scale
+        self._check_sirs_match_unit_scale(pair, method, scale)
+
+    @staticmethod
+    def _check_sirs_match_unit_scale(pair, method, scale):
+        sources, (x1, x2) = pair
 
         def sirs(k):
             y1, y2 = (Signal(k * x.samples, 8000) for x in (x1, x2))
-            if method == METHOD_PROPOSED:
-                result = separate_proposed(y1, y2)
-            else:
-                result = separate_baseline(y1, y2, method)
+            result = _separate(method, y1, y2)
             assert all(np.isfinite(e.samples).all() for e in result.estimates)
-            report = evaluate_pair(result.estimates, (s1, s2))
+            report = evaluate_pair(result.estimates, sources)
             return [source.sir_db for source in report.per_source]
 
         assert np.allclose(sirs(scale), sirs(1.0), rtol=0.0, atol=0.1)
+
+    @pytest.mark.parametrize("k", [-1000, -70, -20, 20, 70, 1000])
+    @pytest.mark.parametrize("method", [METHOD_PROPOSED, METHOD_FASTICA, METHOD_SOBI])
+    def test_power_of_two_scale_is_bit_exact(self, pair, method, k):
+        _, (x1, x2) = pair
+        base = _separate(method, x1, x2)
+        scaled = _separate(method, *(Signal(np.ldexp(x.samples, k), 8000) for x in (x1, x2)))
+        assert scaled.selected_node == base.selected_node
+        for a, b in zip(scaled.estimates, base.estimates):
+            assert np.array_equal(a.samples, b.samples)
+        # the model stays expressed for the caller's data
+        whitening = scaled.model.whitening
+        assert np.array_equal(whitening.matrix, np.ldexp(base.model.whitening.matrix, -k))
+        assert np.array_equal(whitening.mean, np.ldexp(base.model.whitening.mean, k))
+
+    @pytest.mark.parametrize("method", [METHOD_PROPOSED, METHOD_FASTICA, METHOD_SOBI])
+    def test_vanishing_mixtures_raise_typed_error(self, pair, method):
+        # a peak near 1e-310: the unmixing matrix for it exceeds float64
+        _, (x1, x2) = pair
+        quiet = (Signal(np.ldexp(x.samples, -1034), 8000) for x in (x1, x2))
+        with pytest.raises(DegenerateInputError):
+            _separate(method, *quiet)
+
+
+def _adversarial_pair(case):
+    s1, s2 = speechlike_pair(4096, seed=3)
+    s = np.vstack([s1.samples, s2.samples])
+    x = EQ8_MATRIX @ s
+    return {
+        "64_samples": x[:, :64],
+        "65_samples": x[:, :65],
+        "dc_channel": np.vstack([x[0], np.full(x.shape[1], 0.3)]),
+        "silent_channel": np.vstack([x[0], np.zeros(x.shape[1])]),
+        "identical_channels": np.vstack([x[0], x[0]]),
+        "det_1e-10": np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]]) @ s,
+        "clipped": np.clip(x, -1.5, 1.5),
+    }[case]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", [METHOD_PROPOSED, METHOD_FASTICA, METHOD_SOBI])
+@pytest.mark.parametrize(
+    "case",
+    ["64_samples", "65_samples", "dc_channel", "silent_channel",
+     "identical_channels", "det_1e-10", "clipped"],
+)
+def test_adversarial_pair_ends_finite_or_typed(case, method):
+    x = _adversarial_pair(case)
+    try:
+        result = _separate(method, Signal(x[0], 8000), Signal(x[1], 8000))
+    except BssError:
+        return
+    assert all(np.isfinite(e.samples).all() for e in result.estimates)
 
 
 class TestStreamedSelection:
@@ -170,6 +243,18 @@ class TestStreamedSelection:
 
 
 class TestBaselines:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_white_laplacian_root_node_equals_plain_fastica(self, seed):
+        # no subband of white sources is more supergaussian than the whole
+        s1 = synth_source("laplacian", 32768, seed=seed)
+        s2 = synth_source("laplacian", 32768, seed=100 + seed)
+        x1, x2 = mix((s1, s2), A)
+        proposed = separate_proposed(x1, x2)
+        plain = separate_baseline(x1, x2, METHOD_FASTICA)
+        assert proposed.selected_node == (0, 0)
+        for a, b in zip(proposed.estimates, plain.estimates):
+            assert np.array_equal(a.samples, b.samples)
+
     def test_fastica_on_uniform_sources(self):
         s1 = synth_source("uniform", 16384, seed=10)
         s2 = synth_source("uniform", 16384, seed=11)
