@@ -92,8 +92,10 @@ def read_wav(path) -> Signal:
                     f"{path}: bits per sample: expected 16, got {8 * sampwidth}"
                 )
             frames = handle.readframes(n_frames)
-    except wave.Error as exc:
-        raise WavFormatError(f"{path}: malformed WAV header: {exc}") from exc
+    except (wave.Error, EOFError) as exc:
+        # wave raises a bare EOFError for a file that ends inside its header
+        reason = str(exc) or "file ends inside the header"
+        raise WavFormatError(f"{path}: malformed WAV header: {reason}") from exc
     if len(frames) % 2:
         raise WavFormatError(f"{path}: data chunk: ends in a partial 16-bit sample")
     if not frames:

@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,24 +45,6 @@ MIX_PEAK = 0.9
 METHOD_NAMES = (METHOD_PROPOSED, METHOD_FASTICA, METHOD_SOBI)
 
 METRIC_COLUMNS = ("SIR", "SDR", "segSNR", "overallSNR")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    source_paths: tuple
-    matrix: MixingMatrix
-    methods: tuple
-    seed: int
-    output_dir: Path
-
-    def __post_init__(self):
-        if not self.methods:
-            raise ParameterError("need at least one method")
-        for name in self.methods:
-            if name not in METHOD_NAMES:
-                raise ParameterError(f"unknown method {name!r}")
-        if len(set(map(str, self.source_paths))) != 2:
-            raise ParameterError("source paths must be two distinct files")
 
 
 def _atomic_write_bytes(path: Path, data: bytes):
@@ -124,10 +105,6 @@ def _parse_lags(text: str):
         raise ParameterError(f"--lags needs e.g. 1-20 or 1,2,5, got {text!r}") from None
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("BSS_UWPD_SEED", "42"))
-
-
 def _load_mixture_inputs(paths):
     signals = []
     for path in paths:
@@ -152,11 +129,19 @@ def _make_mixtures(sources, matrix: MixingMatrix):
 
 
 def _ica_options(args) -> IcaOptions:
+    """Fit options; without --seed the seed is BSS_UWPD_SEED, then 42."""
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("BSS_UWPD_SEED", "42")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ParameterError(f"BSS_UWPD_SEED must be an integer, got {text!r}") from None
     return IcaOptions(
         contrast=args.contrast,
         tolerance=args.tol,
         max_iterations=args.max_iter,
-        seed=args.seed,
+        seed=seed,
     )
 
 
@@ -173,7 +158,15 @@ def _run_method(name: str, mixtures, opts: IcaOptions, lags) -> SeparationResult
     return result
 
 
-def _run_record(name: str, result: SeparationResult, seed: int, estimate_names):
+def _write_estimates(out: Path, name: str, result: SeparationResult, seed: int):
+    """Write a method's two estimates as WAVs peaking at MIX_PEAK; returns
+    its run record."""
+    names = [f"est_{name}_1.wav", f"est_{name}_2.wav"]
+    for estimate, est_name in zip(result.estimates, names):
+        peak = np.max(np.abs(estimate.samples))
+        if peak > 0.0:
+            estimate = Signal(estimate.samples * (MIX_PEAK / peak), estimate.sample_rate_hz)
+        _atomic_write_wav(estimate, out / est_name)
     return {
         "command": "separate",
         "method": name,
@@ -182,11 +175,14 @@ def _run_record(name: str, result: SeparationResult, seed: int, estimate_names):
         "iterations": result.iterations,
         "converged": result.converged,
         "ill_conditioned": result.model.ill_conditioned,
-        "estimates": list(estimate_names),
+        "estimates": names,
     }
 
 
-def _metrics_rows(method: str, report):
+def _score(method: str, estimate_paths, references):
+    """Table rows scoring two estimate WAVs against two reference Signals:
+    one per source, then their average."""
+    report = evaluate_pair([read_wav(path) for path in estimate_paths], references)
     rows = []
     for index, source in enumerate(report.per_source, start=1):
         rows.append(
@@ -241,32 +237,20 @@ def cmd_mix(args) -> int:
 
 def cmd_separate(args) -> int:
     out = Path(args.out)
-    mixtures = [read_wav(args.mix1), read_wav(args.mix2)]
     opts = _ica_options(args)
+    mixtures = [read_wav(args.mix1), read_wav(args.mix2)]
     result = _run_method(args.method, mixtures, opts, args.lags)
-    names = [f"est_{args.method}_1.wav", f"est_{args.method}_2.wav"]
-    for estimate, name in zip(result.estimates, names):
-        _atomic_write_wav(_normalize_for_wav(estimate), out / name)
-    record = _run_record(args.method, result, args.seed, names)
+    record = _write_estimates(out, args.method, result, opts.seed)
     records_path = out / "runs.jsonl"
     existing = records_path.read_text() if records_path.exists() else ""
-    _atomic_write_text(records_path, existing + json.dumps(record, sort_keys=True) + "\n")
-    print(f"wrote {', '.join(names)} and run record to {out}")
+    _atomic_write_text(records_path, existing + _jsonl([record]))
+    print(f"wrote {', '.join(record['estimates'])} and run record to {out}")
     return 0
 
 
-def _normalize_for_wav(signal: Signal) -> Signal:
-    peak = np.max(np.abs(signal.samples))
-    if peak <= 0.0:
-        return signal
-    return Signal(signal.samples * (MIX_PEAK / peak), signal.sample_rate_hz)
-
-
 def cmd_evaluate(args) -> int:
-    estimates = (read_wav(args.estimate1), read_wav(args.estimate2))
-    references = (read_wav(args.reference1), read_wav(args.reference2))
-    report = evaluate_pair(estimates, references)
-    rows = _metrics_rows(args.method_label, report)
+    references = [read_wav(args.reference1), read_wav(args.reference2)]
+    rows = _score(args.method_label, [args.estimate1, args.estimate2], references)
     print(_format_table(rows))
     if args.json:
         _atomic_write_text(Path(args.json), _jsonl(rows))
@@ -274,24 +258,24 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    config = ExperimentConfig(
-        source_paths=(args.source1, args.source2),
-        matrix=_parse_matrix(args.matrix),
-        methods=tuple(args.methods.split(",")),
-        seed=args.seed,
-        output_dir=Path(args.out),
-    )
-    out = config.output_dir
-    references = _load_mixture_inputs(config.source_paths)
-    mix1, mix2, scale = _make_mixtures(references, config.matrix)
+    out = Path(args.out)
+    source_paths = (args.source1, args.source2)
+    matrix = _parse_matrix(args.matrix)
+    methods = args.methods.split(",")
+    for name in methods:
+        if name not in METHOD_NAMES:
+            raise ParameterError(f"unknown method {name!r}")
+    if len(set(map(str, source_paths))) != 2:
+        raise ParameterError("source paths must be two distinct files")
+    opts = _ica_options(args)
+    references = _load_mixture_inputs(source_paths)
+    mix1, mix2, scale = _make_mixtures(references, matrix)
 
     results = {}
     failures = {}
-    for name in config.methods:
+    for name in methods:
         try:
-            results[name] = _run_method(
-                name, (mix1, mix2), _ica_options(args), args.lags
-            )
+            results[name] = _run_method(name, (mix1, mix2), opts, args.lags)
         except BssError as exc:
             failures[name] = str(exc)
 
@@ -301,24 +285,19 @@ def cmd_experiment(args) -> int:
     for reference, ref_name in zip(references, ref_names):
         _atomic_write_wav(reference, out / ref_name)
     _write_mixtures(
-        out, config.matrix, scale, (mix1, mix2), config.source_paths,
-        seed=config.seed, methods=list(config.methods), references=ref_names,
+        out, matrix, scale, (mix1, mix2), source_paths,
+        seed=opts.seed, methods=methods, references=ref_names,
     )
 
     ref_signals = [read_wav(out / ref_name) for ref_name in ref_names]
     records = []
     table_rows = []
-    for name in config.methods:
+    for name in methods:
         if name not in results:
             continue
-        result = results[name]
-        names = [f"est_{name}_1.wav", f"est_{name}_2.wav"]
-        for estimate, est_name in zip(result.estimates, names):
-            _atomic_write_wav(_normalize_for_wav(estimate), out / est_name)
-        records.append(_run_record(name, result, config.seed, names))
-        est_signals = [read_wav(out / est_name) for est_name in names]
-        report = evaluate_pair(est_signals, ref_signals)
-        table_rows.extend(_metrics_rows(name, report))
+        record = _write_estimates(out, name, results[name], opts.seed)
+        records.append(record)
+        table_rows += _score(name, [out / est for est in record["estimates"]], ref_signals)
     _atomic_write_text(out / "runs.jsonl", _jsonl(records))
 
     table = _format_table(table_rows)
@@ -342,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed", type=int, help="default: BSS_UWPD_SEED, then 42")
         p.add_argument("--contrast", choices=("tanh", "gauss", "cube"), default="tanh")
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--max-iter", type=int, default=200)
@@ -377,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("source1")
     p_exp.add_argument("source2")
     p_exp.add_argument("--matrix", default="2,1,1,1", help="a11,a12,a21,a22")
-    p_exp.add_argument("--methods", default="proposed,fastica,sobi",
-                       help="comma-separated subset of proposed,fastica,sobi")
+    p_exp.add_argument("--methods", default=",".join(METHOD_NAMES),
+                       help=f"comma-separated subset of {','.join(METHOD_NAMES)}")
     p_exp.add_argument("--out", required=True)
     add_common(p_exp)
     p_exp.set_defaults(func=cmd_experiment)

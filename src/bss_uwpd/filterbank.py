@@ -152,7 +152,7 @@ def uwpd_step(coeffs, filters: FilterPair, level: int):
     return approx, detail
 
 
-def cbw_at(freq_hz: float, bands=CRITICAL_BANDS) -> float:
+def cbw_at(freq_hz: float) -> float:
     """Critical bandwidth (Hz) of the band containing a frequency.
 
     Band edges are the cumulative bandwidths; frequencies above the last
@@ -161,14 +161,14 @@ def cbw_at(freq_hz: float, bands=CRITICAL_BANDS) -> float:
     if freq_hz < 0:
         raise ParameterError(f"frequency must be non-negative, got {freq_hz}")
     edge = 0.0
-    for _, cbw in bands:
+    for _, cbw in CRITICAL_BANDS:
         edge += cbw
         if freq_hz < edge:
             return float(cbw)
-    return float(bands[-1][1])
+    return float(CRITICAL_BANDS[-1][1])
 
 
-def build_cb_tree(fs_hz: int = PIPELINE_RATE_HZ, bands=CRITICAL_BANDS) -> CbTree:
+def build_cb_tree(fs_hz: int = PIPELINE_RATE_HZ) -> CbTree:
     """Build the critical-band tree for an 8 kHz signal.
 
     Walks the full five-level binary band partition top-down and splits a
@@ -181,18 +181,18 @@ def build_cb_tree(fs_hz: int = PIPELINE_RATE_HZ, bands=CRITICAL_BANDS) -> CbTree
         )
     leaves = []
 
-    def walk(level, position):
+    def split(level, position):
         width = fs_hz / 2.0 ** (level + 1)
         low = position * width
         center = low + width / 2.0
-        cbw = cbw_at(center, bands)
+        cbw = cbw_at(center)
         if level < MAX_LEVEL and width > math.sqrt(2.0) * cbw:
-            walk(level + 1, 2 * position)
-            walk(level + 1, 2 * position + 1)
+            split(level + 1, 2 * position)
+            split(level + 1, 2 * position + 1)
         else:
             leaves.append(CbLeaf(level, position, low, low + width, cbw))
 
-    walk(0, 0)
+    split(0, 0)
     leaves.sort(key=lambda leaf: leaf.band_low_hz)
     return CbTree(fs_hz=fs_hz, leaves=tuple(leaves))
 

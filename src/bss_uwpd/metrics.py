@@ -51,13 +51,21 @@ def _dot(a, b) -> float:
     return float(blocks.sum() + a[whole:] @ b[whole:])
 
 
-def _samples(signal):
-    if isinstance(signal, Signal):
-        return signal.samples
-    samples = np.asarray(signal, float)
-    if not np.all(np.isfinite(samples)):
-        raise ParameterError("signal samples must be finite")
-    return samples
+def _samples(*signals):
+    """Each signal's samples as a float array, checked to be finite (a
+    Signal already is) and to share one length."""
+    arrays = []
+    for signal in signals:
+        if isinstance(signal, Signal):
+            arrays.append(signal.samples)
+            continue
+        samples = np.asarray(signal, float)
+        if not np.all(np.isfinite(samples)):
+            raise ParameterError("signal samples must be finite")
+        arrays.append(samples)
+    if len({arr.size for arr in arrays}) != 1:
+        raise DimensionError("estimates and references must share one length")
+    return arrays
 
 
 def align(estimates, references):
@@ -66,15 +74,11 @@ def align(estimates, references):
     Returns (permutation, signs) where permutation[i] is the reference index
     assigned to estimate i and signs[i] is the sign of that correlation.
     """
-    est = [_samples(e) for e in estimates]
-    ref = [_samples(r) for r in references]
-    if len({arr.size for arr in est + ref}) != 1:
-        raise DimensionError("estimates and references must share one length")
-    est = [arr - arr.mean() for arr in est]
-    ref = [arr - arr.mean() for arr in ref]
-    norms = [np.sqrt(_dot(arr, arr)) for arr in est + ref]
+    centered = [arr - arr.mean() for arr in _samples(*estimates, *references)]
+    norms = [np.sqrt(_dot(arr, arr)) for arr in centered]
     if min(norms) == 0.0:
         raise DegenerateInputError("zero-variance signal cannot be aligned")
+    est, ref = centered[:2], centered[2:]
     corr = np.array(
         [[_dot(ei, rj) / (norms[i] * norms[2 + j]) for j, rj in enumerate(ref)]
          for i, ei in enumerate(est)]
@@ -105,10 +109,7 @@ def bss_decompose(estimate, references, target_index: int) -> BssDecomposition:
     collinear references the interference term is defined as zero and the
     decomposition is flagged.
     """
-    e = _samples(estimate)
-    refs = [_samples(r) for r in references]
-    if any(r.size != e.size for r in refs):
-        raise DimensionError("estimate and references must share one length")
+    e, *refs = _samples(estimate, *references)
     cross = _dot(refs[0], refs[1])
     gram = np.array([[_dot(refs[0], refs[0]), cross], [cross, _dot(refs[1], refs[1])]])
     target_energy = gram[target_index, target_index]
@@ -158,10 +159,7 @@ def segmental_snr(estimate, reference) -> float:
     frame's SNR is clamped to [-10, 35] dB and frames with (near) silent
     reference are excluded.
     """
-    est = _samples(estimate)
-    ref = _samples(reference)
-    if est.size != ref.size:
-        raise DimensionError("estimate and reference must share one length")
+    est, ref = _samples(estimate, reference)
     if ref.size < SEG_FRAME:
         raise DimensionError(
             f"need at least one {SEG_FRAME}-sample frame, got {ref.size} samples"
@@ -182,10 +180,7 @@ def segmental_snr(estimate, reference) -> float:
 
 def overall_snr(estimate, reference) -> float:
     """Whole-signal SNR in dB after a least-squares gain fit, capped to +-300."""
-    est = _samples(estimate)
-    ref = _samples(reference)
-    if est.size != ref.size:
-        raise DimensionError("estimate and reference must share one length")
+    est, ref = _samples(estimate, reference)
     ref_energy = _dot(ref, ref)
     if ref_energy <= 0.0:
         raise DegenerateInputError("reference carries no energy")
@@ -225,7 +220,7 @@ def evaluate_pair(estimates, references) -> MetricsReport:
     per_source = []
     for source_index in range(2):
         estimate_index = permutation.index(source_index)
-        aligned = signs[estimate_index] * _samples(estimates[estimate_index])
+        aligned = signs[estimate_index] * _samples(estimates[estimate_index])[0]
         decomposition = bss_decompose(aligned, references, source_index)
         per_source.append(
             SourceMetrics(

@@ -18,7 +18,6 @@ from .errors import (
     DegenerateInputError,
     DimensionError,
     ParameterError,
-    SelectionError,
     UnsupportedRateError,
 )
 from .filterbank import build_cb_tree, db4_filters, walk
@@ -30,7 +29,7 @@ from .separators import (
     fastica,
     sobi,
 )
-from .stats import WhiteningModel, rank_key, row_kurtosis
+from .stats import NodeScore, WhiteningModel, row_kurtosis, select_best_node
 
 METHOD_PROPOSED = "proposed"
 METHOD_FASTICA = "fastica"
@@ -99,20 +98,16 @@ def _finish(x, e, model, selected_node, method):
 
 
 def _select_subband(x, tree):
-    """Score each node as the walk produces it, ranked by the min over
-    channels, and keep only the best node and its block."""
-    best = None
-    for node, coeffs in walk(x, tree, db4_filters()):
-        value = float(np.min(row_kurtosis(coeffs)))
-        if np.isfinite(value):
-            rank = rank_key(node, value, tree.fs_hz)
-            if best is None or rank < best[0]:
-                best = (rank, node, coeffs)
-    if best is None:
-        raise SelectionError("every node scored as degenerate on some channel")
+    """The node select_best_node keeps and its block, each node scored as
+    the walk produces it so no other block outlives its score."""
+    best = select_best_node(
+        (NodeScore(node, *row_kurtosis(coeffs).tolist(), coeffs=coeffs)
+         for node, coeffs in walk(x, tree, db4_filters())),
+        tree.fs_hz,
+    )
     # a copy made after the walk spares the next separation re-faulting its
     # temporaries (5, not 163 minor faults per fastica call at 32768 samples)
-    return best[1], best[2].copy()
+    return best.node, best.coeffs.copy()
 
 
 def separate_proposed(

@@ -9,6 +9,7 @@ closed-form Givens rotation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -50,10 +51,12 @@ class IcaOptions:
             raise ParameterError(
                 f"contrast must be one of {sorted(_CONTRASTS)}, got {self.contrast!r}"
             )
-        if self.tolerance <= 0.0:
-            raise ParameterError("tolerance must be positive")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ParameterError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ParameterError("max_iterations must be >= 1")
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ two mixture channels are jointly most non-Gaussian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,11 +52,13 @@ def kurtosis(y) -> float:
 @dataclass(frozen=True)
 class NodeScore:
     """Per-channel kurtosis of one tree node; combined = min over channels,
-    NaN when either channel is degenerate."""
+    NaN when either channel is degenerate. coeffs may carry the node's
+    coefficients through a streamed selection."""
 
     node: tuple
     kurtosis_ch1: float
     kurtosis_ch2: float
+    coeffs: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def combined(self) -> float:
@@ -74,19 +76,20 @@ def score_nodes(coeffs_ch1, coeffs_ch2):
     ]
 
 
-def rank_key(node, value, fs_hz: int = PIPELINE_RATE_HZ):
-    """Selection order of a node scoring value, smallest first: higher
-    kurtosis, then the lower band, then the shallower node."""
-    return (-value, CbTree(fs_hz, ()).band(*node)[0], node[0])
-
-
 def select_best_node(scores, fs_hz: int = PIPELINE_RATE_HZ) -> NodeScore:
-    """Node maximizing the combined (min-over-channels) kurtosis, ranked by
-    rank_key. Nodes without finite scores on both channels are skipped."""
-    usable = [s for s in scores if np.isfinite(s.combined)]
-    if not usable:
+    """Node maximizing the combined (min-over-channels) kurtosis; ties go to
+    the lower band, then the shallower node. scores may be any iterable and
+    is consumed once, holding only the best score so far. Nodes without
+    finite scores on both channels are skipped."""
+    band = CbTree(fs_hz, ()).band
+    best = min(
+        (s for s in scores if np.isfinite(s.combined)),
+        key=lambda s: (-s.combined, band(*s.node)[0], s.node[0]),
+        default=None,
+    )
+    if best is None:
         raise SelectionError("every node scored as degenerate on some channel")
-    return min(usable, key=lambda s: rank_key(s.node, s.combined, fs_hz))
+    return best
 
 
 @dataclass(frozen=True)

@@ -117,11 +117,26 @@ class TestSeparate:
     def test_truncated_wav_exits_2(self, tmp_path, mixture_dir, capsys):
         data = (mixture_dir / "mix1.wav").read_bytes()
         cut = tmp_path / "cut.wav"
-        cut.write_bytes(data[:-1])
-        code = main(["separate", str(cut), str(mixture_dir / "mix2.wav"),
-                     "--method", "sobi", "--out", str(tmp_path / "sep")])
+        # cut inside the data chunk, to nothing, and inside the header
+        for end, reason in ((-1, "data chunk"), (0, "header"), (30, "header")):
+            cut.write_bytes(data[:end])
+            code = main(["separate", str(cut), str(mixture_dir / "mix2.wav"),
+                         "--method", "sobi", "--out", str(tmp_path / "sep")])
+            assert code == 2
+            assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option", [["--tol", "nan"], ["--tol", "inf"], ["--seed", "-1"]],
+        ids=["tol-nan", "tol-inf", "seed-negative"],
+    )
+    def test_bad_fit_option_exits_2(self, tmp_path, mixture_dir, capsys, option):
+        out = tmp_path / "sep"
+        code = main(["separate", str(mixture_dir / "mix1.wav"),
+                     str(mixture_dir / "mix2.wav"), "--method", "fastica",
+                     *option, "--out", str(out)])
         assert code == 2
-        assert "data chunk" in capsys.readouterr().err
+        assert option[0][2:] in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_convergence_warns_on_stderr(self, tmp_path, mixture_dir, capsys):
         mixes = [str(mixture_dir / "mix1.wav"), str(mixture_dir / "mix2.wav")]
@@ -237,6 +252,23 @@ class TestExperiment:
         assert code == 0
         record = json.loads((out / "runs.jsonl").read_text().splitlines()[0])
         assert record["seed"] == 123
+
+    def test_bad_seed_env_fails_only_where_a_seed_is_used(
+        self, tmp_path, speech_wavs, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("BSS_UWPD_SEED", "abc")
+        mixdir = tmp_path / "mix"
+        assert main(["mix", *map(str, speech_wavs), "--out", str(mixdir)]) == 0
+        assert main(["evaluate", *map(str, speech_wavs), *map(str, speech_wavs)]) == 0
+        capsys.readouterr()
+        for argv in (
+            ["separate", str(mixdir / "mix1.wav"), str(mixdir / "mix2.wav"),
+             "--method", "sobi", "--out", str(tmp_path / "sep")],
+            ["experiment", *map(str, speech_wavs), "--out", str(tmp_path / "exp")],
+        ):
+            assert main(argv) == 2
+            assert "BSS_UWPD_SEED" in capsys.readouterr().err
+        assert not (tmp_path / "sep").exists() and not (tmp_path / "exp").exists()
 
     def test_single_method_section(self, tmp_path, speech_wavs):
         out = tmp_path / "exp"

@@ -122,7 +122,6 @@ def _separate(method, x1, x2):
     return separate_baseline(x1, x2, method)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestScale:
     @pytest.fixture(scope="class")
     def pair(self):
@@ -192,7 +191,6 @@ def _adversarial_pair(case):
     }[case]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("method", [METHOD_PROPOSED, METHOD_FASTICA, METHOD_SOBI])
 @pytest.mark.parametrize(
     "case",

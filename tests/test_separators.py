@@ -79,10 +79,16 @@ class TestFastIca:
     def test_bad_options(self):
         with pytest.raises(ParameterError):
             IcaOptions(contrast="sigmoid")
-        with pytest.raises(ParameterError):
-            IcaOptions(tolerance=0.0)
+        for tolerance in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ParameterError):
+                IcaOptions(tolerance=tolerance)
         with pytest.raises(ParameterError):
             IcaOptions(max_iterations=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            IcaOptions(seed=seed)
 
 
 class TestSobi:
