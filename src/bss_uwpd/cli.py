@@ -265,6 +265,8 @@ def cmd_experiment(args) -> int:
     for name in methods:
         if name not in METHOD_NAMES:
             raise ParameterError(f"unknown method {name!r}")
+    if len(set(methods)) != len(methods):
+        raise ParameterError(f"--methods names a method twice: {args.methods!r}")
     if len(set(map(str, source_paths))) != 2:
         raise ParameterError("source paths must be two distinct files")
     opts = _ica_options(args)

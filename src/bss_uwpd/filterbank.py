@@ -129,27 +129,40 @@ def uwpd_step(coeffs, filters: FilterPair, level: int):
     (1-based). Returns (approx, detail), both of input shape. Taps are
     accumulated in order, so the output equals the np.roll form bit for bit."""
     c = np.asarray(coeffs, dtype=np.float64)
+    approx, detail = np.empty_like(c), np.empty_like(c)
+    _step_into(c, filters, level, approx, detail)
+    return approx, detail
+
+
+def _step_into(c, filters: FilterPair, level: int, approx, detail):
+    """uwpd_step writing into the given outputs, which must not overlap c."""
     if c.size == 0:
         raise DimensionError("cannot filter an empty sequence")
     if level < 1:
         raise ParameterError(f"level must be >= 1, got {level}")
     n = c.shape[-1]
     shifts = [(k * 2 ** (level - 1)) % n for k in range(filters.h.size)]
-    pad = max(shifts)
-    extended = np.concatenate([c[..., n - pad :], c], axis=-1)
-    approx = np.zeros_like(c)
-    detail = np.zeros_like(c)
     width = max(1, _BLOCK_ELEMENTS * n // c.size)
     scratch = np.empty(c.shape[:-1] + (min(width, n),))
     for start in range(0, n, width):
         stop = min(start + width, n)
         block = scratch[..., : stop - start]
+        outs = ((filters.h, approx[..., start:stop]), (filters.g, detail[..., start:stop]))
         for k, shift in enumerate(shifts):
-            tapped = extended[..., pad - shift + start : pad - shift + stop]
-            for taps, total in ((filters.h, approx), (filters.g, detail)):
-                np.multiply(tapped, taps[k], out=block)
-                total[..., start:stop] += block
-    return approx, detail
+            # output i reads c[i - shift], which left of the cut wraps to
+            # c[n + i - shift]: two slices in place of a padded copy
+            cut = min(max(shift, start), stop)
+            pieces = []
+            if cut > start:
+                pieces.append((c[..., n - shift + start : n - shift + cut],
+                               block[..., : cut - start]))
+            if cut < stop:
+                pieces.append((c[..., cut - shift : stop - shift], block[..., cut - start :]))
+            for taps, out in outs:
+                for tapped, part in pieces:
+                    np.multiply(tapped, taps[k], out=part)
+                # the first tap adds to +0.0, as a zero-filled sum would
+                np.add(out if k else 0.0, block, out=out)
 
 
 def cbw_at(freq_hz: float) -> float:
@@ -199,33 +212,41 @@ def build_cb_tree(fs_hz: int = PIPELINE_RATE_HZ) -> CbTree:
 
 def walk(x, tree: CbTree, filters: FilterPair):
     """Depth-first walk of the tree over (..., N) data, yielding (node,
-    coeffs) for every node, the root (x itself) first. A parent is dropped
-    once its children exist, so one pending sibling per level stays alive.
+    coeffs) for every node, the root (x itself) first. A yielded block is
+    valid only until the walk is advanced: once a node has been yielded and
+    split (or yielded, for a leaf) its buffer is reused for later nodes, so
+    on the critical-band tree seven buffers of x's shape serve the 32 nodes
+    below the root. x itself is never written.
 
     Positions are in natural frequency order; when filtering the children
     of a node at an odd frequency position, the low-pass output lands in
     the upper half-band (the standard high/low swap), so band labels stay
     monotone in frequency.
     """
+    x = np.asarray(x, dtype=np.float64)
     leaves = {(leaf.level, leaf.position) for leaf in tree.leaves}
+    free = []
     pending = [((0, 0), x)]
     while pending:
         (level, position), coeffs = pending.pop()
         yield (level, position), coeffs
-        if (level, position) in leaves:
-            continue
-        approx, detail = uwpd_step(coeffs, filters, level + 1)
-        if position % 2 == 1:
-            approx, detail = detail, approx
-        lo, hi = (level + 1, 2 * position), (level + 1, 2 * position + 1)
-        pending += [(hi, detail), (lo, approx)]
+        if (level, position) not in leaves:
+            approx = free.pop() if free else np.empty_like(x)
+            detail = free.pop() if free else np.empty_like(x)
+            _step_into(coeffs, filters, level + 1, approx, detail)
+            if position % 2 == 1:
+                approx, detail = detail, approx
+            lo, hi = (level + 1, 2 * position), (level + 1, 2 * position + 1)
+            pending += [(hi, detail), (lo, approx)]
+        if coeffs is not x:
+            free.append(coeffs)
 
 
 def decompose_nodes(signal: Signal, tree: CbTree, filters: FilterPair):
-    """Coefficients for every node of the tree, keyed by (level, position)."""
+    """Coefficients for every node of the tree, keyed by (level, position);
+    each node is a copy of the walk's block."""
     if signal.sample_rate_hz != tree.fs_hz:
         raise UnsupportedRateError(
             f"signal rate {signal.sample_rate_hz} does not match tree rate {tree.fs_hz}"
         )
-    return dict(walk(signal.samples, tree, filters))
-
+    return {node: coeffs.copy() for node, coeffs in walk(signal.samples, tree, filters)}

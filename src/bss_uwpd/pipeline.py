@@ -29,7 +29,7 @@ from .separators import (
     fastica,
     sobi,
 )
-from .stats import NodeScore, WhiteningModel, row_kurtosis, select_best_node
+from .stats import NodeScore, WhiteningModel, row_kurtosis, running_best
 
 METHOD_PROPOSED = "proposed"
 METHOD_FASTICA = "fastica"
@@ -98,16 +98,15 @@ def _finish(x, e, model, selected_node, method):
 
 
 def _select_subband(x, tree):
-    """The node select_best_node keeps and its block, each node scored as
-    the walk produces it so no other block outlives its score."""
-    best = select_best_node(
-        (NodeScore(node, *row_kurtosis(coeffs).tolist(), coeffs=coeffs)
-         for node, coeffs in walk(x, tree, db4_filters())),
-        tree.fs_hz,
-    )
-    # a copy made after the walk spares the next separation re-faulting its
-    # temporaries (5, not 163 minor faults per fastica call at 32768 samples)
-    return best.node, best.coeffs.copy()
+    """The node select_best_node keeps and a copy of its block, each node
+    scored as the walk produces it. A walk block is valid only until the
+    walk advances, so each new leader is copied into one kept buffer."""
+    kept = np.empty_like(x)
+    scores = (NodeScore(node, *row_kurtosis(coeffs).tolist(), coeffs=coeffs)
+              for node, coeffs in walk(x, tree, db4_filters()))
+    for best in running_best(scores, tree.fs_hz):
+        np.copyto(kept, best.coeffs)
+    return best.node, kept
 
 
 def separate_proposed(

@@ -22,20 +22,36 @@ from .errors import (
 from .filterbank import CbTree
 
 
+# Columns per block of row_kurtosis: the scratch of a (2, N) pair is 256 KiB,
+# and as the width does not depend on the row count, a row's block sums are
+# the same in any array shape.
+_KURTOSIS_COLUMNS = 16384
+
+
 def row_kurtosis(c) -> np.ndarray:
     """Excess kurtosis of each row of (..., N) data along its last axis,
     after centering and scaling to unit variance; NaN for a row with zero
-    or non-finite variance. Biased (1/N) moment estimators throughout."""
+    or non-finite variance. Biased (1/N) moment estimators throughout.
+    Past the mean, the moments are summed over column blocks through one
+    small scratch array, so no temporary of the input's size is made."""
     c = np.asarray(c, dtype=np.float64)
     n = c.shape[-1]
     if n < 4:
         raise DimensionError(f"kurtosis needs >= 4 samples, got {n}")
     # mean's pairwise sums give a row the same value in any array shape
-    sq = c - c.mean(axis=-1, keepdims=True)
-    np.multiply(sq, sq, out=sq)
-    m2 = sq.mean(axis=-1)
-    np.multiply(sq, sq, out=sq)
-    m4 = sq.mean(axis=-1)
+    mean = c.mean(axis=-1, keepdims=True)
+    scratch = np.empty(c.shape[:-1] + (min(n, _KURTOSIS_COLUMNS),))
+    m2 = np.zeros(c.shape[:-1])
+    m4 = np.zeros(c.shape[:-1])
+    for start in range(0, n, _KURTOSIS_COLUMNS):
+        sq = scratch[..., : min(n - start, _KURTOSIS_COLUMNS)]
+        np.subtract(c[..., start : start + sq.shape[-1]], mean, out=sq)
+        np.multiply(sq, sq, out=sq)
+        m2 += sq.sum(axis=-1)
+        np.multiply(sq, sq, out=sq)
+        m4 += sq.sum(axis=-1)
+    m2 /= n
+    m4 /= n
     usable = np.isfinite(m2) & (m2 > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(usable, m4 / (m2 * m2) - 3.0, np.nan)
@@ -76,19 +92,31 @@ def score_nodes(coeffs_ch1, coeffs_ch2):
     ]
 
 
-def select_best_node(scores, fs_hz: int = PIPELINE_RATE_HZ) -> NodeScore:
-    """Node maximizing the combined (min-over-channels) kurtosis; ties go to
-    the lower band, then the shallower node. scores may be any iterable and
-    is consumed once, holding only the best score so far. Nodes without
-    finite scores on both channels are skipped."""
+def running_best(scores, fs_hz: int = PIPELINE_RATE_HZ):
+    """Yield each score that ranks above every score before it, ranking by
+    the combined (min-over-channels) kurtosis, highest first; ties go to the
+    lower band, then the shallower node. Nodes without finite scores on both
+    channels are skipped. scores may be any iterable and is drawn lazily, so
+    a caller can keep a leader's coeffs before the next score is made.
+    Raises SelectionError once scores is exhausted if nothing was yielded."""
     band = CbTree(fs_hz, ()).band
-    best = min(
-        (s for s in scores if np.isfinite(s.combined)),
-        key=lambda s: (-s.combined, band(*s.node)[0], s.node[0]),
-        default=None,
-    )
+
+    def rank(s):
+        return -s.combined, band(*s.node)[0], s.node[0]
+
+    best = None
+    for s in scores:
+        if np.isfinite(s.combined) and (best is None or rank(s) < rank(best)):
+            best = s
+            yield s
     if best is None:
         raise SelectionError("every node scored as degenerate on some channel")
+
+
+def select_best_node(scores, fs_hz: int = PIPELINE_RATE_HZ) -> NodeScore:
+    """The last score running_best yields: the best node of the iterable."""
+    for best in running_best(scores, fs_hz):
+        pass
     return best
 
 

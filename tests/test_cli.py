@@ -298,6 +298,14 @@ class TestExperiment:
         assert code != 0
         assert not out.exists()
 
+    def test_repeated_method_rejected(self, tmp_path, speech_wavs, capsys):
+        out = tmp_path / "exp"
+        code = main(["experiment", *map(str, speech_wavs), "--methods", "sobi,sobi",
+                     "--out", str(out), "--seed", "4"])
+        assert code == 2
+        assert "twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_identical_source_paths_rejected(self, tmp_path, speech_wavs):
         out = tmp_path / "exp"
         code = main(["experiment", str(speech_wavs[0]), str(speech_wavs[0]),

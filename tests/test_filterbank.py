@@ -108,6 +108,27 @@ class TestUwpdStep:
                 for got, want in zip(stacked, expected):
                     assert np.array_equal(got[row], want)
 
+    def test_first_tap_adds_to_positive_zero(self, filters):
+        # every level-1 approx product of output 7 is -0.0; a zero-filled
+        # sum reads +0.0 there, a first tap stored as is would read -0.0
+        x = np.zeros(16)
+        x[7 - np.arange(8)] = np.where(filters.h > 0, -0.0, 0.0)
+        assert all(np.signbit(filters.h * x[7 - np.arange(8)]))
+        got, want = uwpd_step(x, filters, 1), roll_step(x, filters, 1)
+        assert not np.signbit(want[0][7])
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("level", range(1, 6))
+    def test_wrap_across_column_blocks_matches_roll_bytes(self, filters, level):
+        # 40000 columns of two rows span three column blocks of the step
+        rng = np.random.default_rng(40000 + level)
+        x = rng.standard_normal((2, 40000))
+        stacked = uwpd_step(x, filters, level)
+        for row in range(2):
+            for got, want in zip(stacked, roll_step(x[row], filters, level)):
+                assert got[row].tobytes() == want.tobytes()
+
     def test_empty_input(self, filters):
         with pytest.raises(DimensionError):
             uwpd_step(np.array([]), filters, 1)
@@ -209,9 +230,17 @@ class TestDecompose:
     def test_walk_of_stacked_channels_matches_each_channel(self, tree, filters):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((2, 700))
-        stacked = dict(walk(x, tree, filters))
-        assert set(stacked) == set(tree.nodes())
-        for row in range(2):
-            single = decompose_nodes(Signal(x[row], 8000), tree, filters)
-            for node, coeffs in single.items():
-                assert np.array_equal(stacked[node][row], coeffs)
+        singles = [decompose_nodes(Signal(x[row], 8000), tree, filters) for row in range(2)]
+        seen = []
+        # a yielded block is valid only until the walk advances: check it then
+        for node, coeffs in walk(x, tree, filters):
+            seen.append(node)
+            for row in range(2):
+                assert np.array_equal(coeffs[row], singles[row][node])
+        assert sorted(seen) == tree.nodes()
+
+    def test_walk_reuses_seven_buffers(self, tree, filters):
+        x = np.random.default_rng(5).standard_normal((2, 300))
+        blocks = [coeffs.ctypes.data for _, coeffs in walk(x, tree, filters)]
+        assert blocks[0] == x.ctypes.data
+        assert len(blocks) == 33 and len(set(blocks[1:])) == 7

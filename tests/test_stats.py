@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from bss_uwpd import (
     DegenerateInputError,
@@ -11,6 +14,7 @@ from bss_uwpd import (
     score_nodes,
     select_best_node,
 )
+from bss_uwpd.stats import row_kurtosis
 
 
 class TestKurtosis:
@@ -44,6 +48,30 @@ class TestKurtosis:
     def test_too_short(self):
         with pytest.raises(DimensionError):
             kurtosis(np.array([1.0, 2.0, 3.0]))
+
+
+class TestRowKurtosis:
+    # the column blocks hold 16384 samples: straddle one and span several
+    @pytest.mark.parametrize("n", [16383, 16384, 16385, 100003])
+    def test_stacked_rows_equal_single_rows_and_scipy(self, n):
+        rng = np.random.default_rng(n)
+        x = np.vstack([rng.laplace(size=n), 3.0 + 0.01 * rng.standard_normal(n)])
+        stacked = row_kurtosis(x)
+        for row in range(2):
+            single = row_kurtosis(x[row])
+            assert stacked[row].tobytes() == single.tobytes()
+            expected = sps.kurtosis(x[row], fisher=True, bias=True)
+            assert abs(single - expected) <= 1e-14 * (expected + 3.0)
+
+    def test_no_temporary_of_input_size(self):
+        x = np.random.default_rng(7).standard_normal((2, 65536))
+        tracemalloc.start()
+        try:
+            row_kurtosis(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 2
 
 
 def _score_map(data_by_node):
