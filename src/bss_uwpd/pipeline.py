@@ -98,14 +98,18 @@ def _finish(x, e, model, selected_node, method):
 
 
 def _select_subband(x, tree):
-    """The node select_best_node keeps and a copy of its block, each node
-    scored as the walk produces it. A walk block is valid only until the
-    walk advances, so each new leader is copied into one kept buffer."""
-    kept = np.empty_like(x)
+    """The node select_best_node keeps and its block, each node scored as
+    the walk produces it. The root's block is x itself, which the walk never
+    writes; any other block is valid only until the walk advances, so each
+    new leader below the root is copied into one kept buffer."""
+    kept = x
     scores = (NodeScore(node, *row_kurtosis(coeffs).tolist(), coeffs=coeffs)
               for node, coeffs in walk(x, tree, db4_filters()))
     for best in running_best(scores, tree.fs_hz):
-        np.copyto(kept, best.coeffs)
+        if best.coeffs is not x:
+            if kept is x:
+                kept = np.empty_like(x)
+            np.copyto(kept, best.coeffs)
     return best.node, kept
 
 

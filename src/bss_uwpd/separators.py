@@ -18,23 +18,38 @@ from .stats import WhiteningModel, as_pair, fit_whitening
 
 DEFAULT_SOBI_LAGS = tuple(range(1, 21))
 
+# Columns per block of the FastICA step and the SOBI lag sums: a block of a
+# (2, N) pair is 512 KiB, so it stays in L2 while every product that reads
+# it is formed. The width depends on neither the data nor the BLAS thread
+# count, so the block sums, and the fitted models, are the same on every run.
+_BLOCK_COLUMNS = 32768
 
-# Each contrast returns (g(u), row mean of g'(u)) without forming g'(u).
-def _tanh_pair(u):
-    t = np.tanh(u)
-    return t, 1.0 - np.einsum("ij,ij->i", t, t) / u.shape[1]
+
+# Each contrast takes a block u of w @ z, writes g(u) over it and returns it
+# with the row sums s of g'(u) - c, c being the constant in the table below,
+# without forming g'(u): E{g'(u)} = c + s / N over all blocks. Keeping c out
+# of the sums makes tanh's one-block mean 1 - S / N, bit for bit.
+def _tanh_sums(u):
+    t = np.tanh(u, out=u)
+    return t, -np.einsum("ij,ij->i", t, t)
 
 
-def _gauss_pair(u):
+def _gauss_sums(u):
     u2 = u * u
     e = np.exp(-0.5 * u2)
-    return u * e, (e.sum(axis=1) - np.einsum("ij,ij->i", u2, e)) / u.shape[1]
+    s = e.sum(axis=1) - np.einsum("ij,ij->i", u2, e)
+    return np.multiply(u, e, out=u), s
 
 
-def _cube_pair(u):
-    return u * u * u, 3.0 * np.einsum("ij,ij->i", u, u) / u.shape[1]
+def _cube_sums(u):
+    s = 3.0 * np.einsum("ij,ij->i", u, u)
+    return np.multiply(u * u, u, out=u), s
 
-_CONTRASTS = {"tanh": _tanh_pair, "gauss": _gauss_pair, "cube": _cube_pair}
+_CONTRASTS = {
+    "tanh": (_tanh_sums, 1.0),
+    "gauss": (_gauss_sums, 0.0),
+    "cube": (_cube_sums, 0.0),
+}
 
 
 @dataclass(frozen=True)
@@ -95,6 +110,26 @@ def _sym_orthogonalize(w):
     return (evecs / np.sqrt(evals)) @ evecs.T @ w
 
 
+def _fastica_step(w, z, contrast: str) -> np.ndarray:
+    """The fixed-point update E{z g(w.z)} - E{g'(w.z)} w of the rotation rows
+    w on whitened (2, N) data z, before re-orthonormalization. The
+    expectations are summed over column blocks, each read for w.z, g and
+    z g while it is in cache; no full-length u or g(u) is made."""
+    g_sums, offset = _CONTRASTS[contrast]
+    n = z.shape[1]
+    u = np.empty((2, min(n, _BLOCK_COLUMNS)))
+    # -0.0 is the exact additive identity, so one block gives the same bits
+    # as the whole-array expressions
+    gz = np.full((2, 2), -0.0)
+    gp = np.full(2, -0.0)
+    for start in range(0, n, _BLOCK_COLUMNS):
+        zb = z[:, start : start + _BLOCK_COLUMNS]
+        gu, s = g_sums(np.matmul(w, zb, out=u[:, : zb.shape[1]]))
+        gp += s
+        gz += gu @ zb.T
+    return gz / n - (offset + gp / n)[:, None] * w
+
+
 def fastica(x, opts: IcaOptions | None = None) -> UnmixingModel:
     """Estimate an unmixing model by symmetric fixed-point iteration.
 
@@ -107,20 +142,15 @@ def fastica(x, opts: IcaOptions | None = None) -> UnmixingModel:
     if opts is None:
         opts = IcaOptions()
     x = as_pair(x, 64, "fastica")
-    n = x.shape[1]
     whitening = fit_whitening(x)
     z = whitening.transform(x)
-    g_pair = _CONTRASTS[opts.contrast]
     rng = np.random.default_rng(opts.seed)
     w = _random_orthonormal(rng)
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iterations + 1):
         w_old = w
-        u = w @ z
-        gu, gpu_mean = g_pair(u)
-        w = gu @ z.T / n - gpu_mean[:, None] * w
-        w = _sym_orthogonalize(w)
+        w = _sym_orthogonalize(_fastica_step(w, z, opts.contrast))
         drift = 1.0 - np.min(np.abs(np.diag(w @ w_old.T)))
         if drift < opts.tolerance:
             converged = True
@@ -157,6 +187,25 @@ def joint_diagonalize(matrices):
     return v, off_history
 
 
+def _lagged_covariances(z, lags) -> np.ndarray:
+    """Symmetrized lagged covariances of (2, N) data z, one 2x2 matrix per
+    lag: sym(sum_t z[:, t] z[:, t - lag]^T) / (N - lag). The sums run over
+    column blocks of t, each block read once for all lags while it is in
+    cache; a lag's shifted slice reaches back into the block before."""
+    n = z.shape[1]
+    # -0.0 is the exact additive identity, so one block gives the same bits
+    # as z[:, lag:] @ z[:, :-lag].T
+    sums = np.full((len(lags), 2, 2), -0.0)
+    for start in range(0, n, _BLOCK_COLUMNS):
+        stop = min(start + _BLOCK_COLUMNS, n)
+        for k, lag in enumerate(lags):
+            lo = max(start, lag)
+            if lo < stop:
+                sums[k] += z[:, lo:stop] @ z[:, lo - lag : stop - lag].T
+    r = sums / (n - np.array(lags))[:, None, None]
+    return 0.5 * (r + r.transpose(0, 2, 1))
+
+
 def sobi(x, lags=DEFAULT_SOBI_LAGS) -> UnmixingModel:
     """Second-order blind identification from time-lagged covariances.
 
@@ -176,15 +225,10 @@ def sobi(x, lags=DEFAULT_SOBI_LAGS) -> UnmixingModel:
         raise DimensionError(f"max lag {max(lags)} too large for {n} samples")
     whitening = fit_whitening(x)
     z = whitening.transform(x)
-    covs = []
-    for lag in lags:
-        r = z[:, lag:] @ z[:, :-lag].T / (n - lag)
-        covs.append(0.5 * (r + r.T))
+    covs = _lagged_covariances(z, lags)
     # distance of each matrix from scalar * identity; below the sampling
     # noise floor second-order statistics cannot identify a rotation
-    strength = max(
-        np.hypot(0.5 * (c[0, 0] - c[1, 1]), c[0, 1]) for c in covs
-    )
+    strength = np.hypot(0.5 * (covs[:, 0, 0] - covs[:, 1, 1]), covs[:, 0, 1]).max()
     ill = strength < min(0.2, 10.0 / np.sqrt(n))
     v, off_history = joint_diagonalize(covs)
     return UnmixingModel(

@@ -16,6 +16,7 @@ from .audio_io import PIPELINE_RATE_HZ
 from .errors import (
     DegenerateInputError,
     DimensionError,
+    ParameterError,
     SelectionError,
     SingularDataError,
 )
@@ -38,30 +39,41 @@ def row_kurtosis(c) -> np.ndarray:
     n = c.shape[-1]
     if n < 4:
         raise DimensionError(f"kurtosis needs >= 4 samples, got {n}")
-    # mean's pairwise sums give a row the same value in any array shape
-    mean = c.mean(axis=-1, keepdims=True)
     scratch = np.empty(c.shape[:-1] + (min(n, _KURTOSIS_COLUMNS),))
     m2 = np.zeros(c.shape[:-1])
     m4 = np.zeros(c.shape[:-1])
-    for start in range(0, n, _KURTOSIS_COLUMNS):
-        sq = scratch[..., : min(n - start, _KURTOSIS_COLUMNS)]
-        np.subtract(c[..., start : start + sq.shape[-1]], mean, out=sq)
-        np.multiply(sq, sq, out=sq)
-        m2 += sq.sum(axis=-1)
-        np.multiply(sq, sq, out=sq)
-        m4 += sq.sum(axis=-1)
-    m2 /= n
-    m4 /= n
-    usable = np.isfinite(m2) & (m2 > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a row whose moments leave the float64 range scores NaN, unwarned
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # mean's pairwise sums give a row the same value in any array shape
+        mean = c.mean(axis=-1, keepdims=True)
+        for start in range(0, n, _KURTOSIS_COLUMNS):
+            sq = scratch[..., : min(n - start, _KURTOSIS_COLUMNS)]
+            np.subtract(c[..., start : start + sq.shape[-1]], mean, out=sq)
+            np.multiply(sq, sq, out=sq)
+            m2 += sq.sum(axis=-1)
+            np.multiply(sq, sq, out=sq)
+            m4 += sq.sum(axis=-1)
+        m2 /= n
+        m4 /= n
+        usable = np.isfinite(m2) & (m2 > 0.0)
         return np.where(usable, m4 / (m2 * m2) - 3.0, np.nan)
 
 
 def kurtosis(y) -> float:
-    """Excess kurtosis of a sequence (see row_kurtosis)."""
-    value = float(row_kurtosis(np.ravel(y)))
+    """Excess kurtosis of a sequence (see row_kurtosis). Raises ParameterError
+    for non-finite samples and DegenerateInputError for a constant sequence
+    or one whose fourth moment leaves the float64 range."""
+    y = np.ravel(np.asarray(y, dtype=np.float64))
+    value = float(row_kurtosis(y))
     if np.isnan(value):
-        raise DegenerateInputError("zero-variance input has no kurtosis")
+        # only a failed score pays for finding its cause
+        if not np.all(np.isfinite(y)):
+            raise ParameterError("kurtosis needs finite samples")
+        if y.min() == y.max():
+            raise DegenerateInputError("zero-variance input has no kurtosis")
+        raise DegenerateInputError(
+            "the fourth moment overflows (or underflows) float64; scale the input"
+        )
     return value
 
 

@@ -28,6 +28,7 @@ from bss_uwpd import (
     synth_source,
 )
 from bss_uwpd.filterbank import build_cb_tree
+from bss_uwpd.pipeline import _select_subband
 
 from helpers import (
     EQ8_MATRIX,
@@ -253,6 +254,16 @@ class TestBaselines:
         assert proposed.selected_node == (0, 0)
         for a, b in zip(proposed.estimates, plain.estimates):
             assert np.array_equal(a.samples, b.samples)
+
+    def test_root_subband_is_the_input_itself(self):
+        # the walk never writes its root, so a leading root is not copied
+        s1 = synth_source("laplacian", 32768, seed=0)
+        s2 = synth_source("laplacian", 32768, seed=100)
+        x1, x2 = mix((s1, s2), A)
+        x = np.vstack([x1.samples, x2.samples])
+        node, subband = _select_subband(x, TREE)
+        assert node == (0, 0)
+        assert subband is x
 
     def test_fastica_on_uniform_sources(self):
         s1 = synth_source("uniform", 16384, seed=10)

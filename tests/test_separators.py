@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +15,7 @@ from bss_uwpd import (
     WhiteningModel,
     apply_unmixing,
     fastica,
+    fit_whitening,
     joint_diagonalize,
     mix,
     sobi,
@@ -17,6 +23,7 @@ from bss_uwpd import (
 )
 from bss_uwpd import MixingMatrix, Signal
 from bss_uwpd.metrics import align
+from bss_uwpd.separators import _fastica_step, _lagged_covariances
 
 from helpers import EQ8_MATRIX, amari_index
 
@@ -156,6 +163,106 @@ class TestSobi:
             sobi(x, [64])
         with pytest.raises(ParameterError):
             sobi(x, [])
+
+
+# The FastICA step and the SOBI lag sums run over 32768-column blocks: one
+# block less one, exactly one, one and a column, several with a tail, and a
+# length that is not a multiple of anything in sight.
+BLOCK_LENGTHS = [32767, 32768, 32769, 3 * 32768 + 17, 100003]
+
+
+def _whitened_ar_pair(n):
+    s1 = synth_source("ar1", n, seed=n, pole=0.9)
+    s2 = synth_source("laplacian", n, seed=n + 1)
+    x1, x2 = mix((s1, s2), MixingMatrix(EQ8_MATRIX))
+    x = np.vstack([x1.samples, x2.samples])
+    return fit_whitening(x).transform(x)
+
+
+def _whole_array_covariances(z, lags):
+    covs = []
+    for lag in lags:
+        r = z[:, lag:] @ z[:, :-lag].T / (z.shape[1] - lag)
+        covs.append(0.5 * (r + r.T))
+    return np.array(covs)
+
+
+def _whole_array_step(w, z, contrast):
+    n = z.shape[1]
+    u = w @ z
+    if contrast == "tanh":
+        gu = np.tanh(u)
+        gp_mean = 1.0 - np.einsum("ij,ij->i", gu, gu) / n
+    elif contrast == "gauss":
+        u2 = u * u
+        e = np.exp(-0.5 * u2)
+        gu = u * e
+        gp_mean = (e.sum(axis=1) - np.einsum("ij,ij->i", u2, e)) / n
+    else:
+        gu = u * u * u
+        gp_mean = 3.0 * np.einsum("ij,ij->i", u, u) / n
+    return gu @ z.T / n - gp_mean[:, None] * w
+
+
+def _assert_matches_whole_array(got, want, n):
+    if n <= 32768:
+        assert got.tobytes() == want.tobytes()
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestColumnBlocks:
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    def test_lagged_covariances_match_whole_array(self, n):
+        # every lag's shifted slice reaches back across a block edge; the
+        # longest is as long as sobi allows
+        z = _whitened_ar_pair(n)
+        lags = (1, 2, 19, 20, 4097, (n - 1) // 4)
+        _assert_matches_whole_array(
+            _lagged_covariances(z, lags), _whole_array_covariances(z, lags), n
+        )
+
+    def test_lag_longer_than_a_block(self):
+        n = 5 * 32768 + 3
+        z = _whitened_ar_pair(n)
+        lags = (1, 32767, 32768, 32769, 40000)
+        got = _lagged_covariances(z, lags)
+        want = _whole_array_covariances(z, lags)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("contrast", ["tanh", "gauss", "cube"])
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    def test_fastica_step_matches_whole_array(self, n, contrast):
+        z = _whitened_ar_pair(n)
+        w = np.linalg.qr(np.random.default_rng(n).standard_normal((2, 2)))[0]
+        _assert_matches_whole_array(
+            _fastica_step(w, z, contrast), _whole_array_step(w, z, contrast), n
+        )
+
+    def test_models_do_not_depend_on_blas_threads(self):
+        # several blocks, so each block's products go through BLAS
+        script = (
+            "import numpy as np, sys\n"
+            "from bss_uwpd import MixingMatrix, fastica, mix, sobi, synth_source\n"
+            "s = (synth_source('ar1', 100003, seed=1, pole=0.9),\n"
+            "     synth_source('laplacian', 100003, seed=2))\n"
+            "x1, x2 = mix(s, MixingMatrix(np.array([[2.0, 1.0], [1.0, 1.0]])))\n"
+            "x = np.vstack([x1.samples, x2.samples])\n"
+            "for m in (fastica(x), sobi(x)):\n"
+            "    for a in (m.rotation, m.whitening.matrix, m.whitening.mean):\n"
+            "        print(a.tobytes().hex())\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+            )
+            run = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True, timeout=300)
+            outputs.append(run.stdout)
+        assert outputs[0].count("\n") == 6
+        assert outputs[0] == outputs[1]
 
 
 class TestApply:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import stats as sps
 from bss_uwpd import (
     DegenerateInputError,
     DimensionError,
+    ParameterError,
     SelectionError,
     SingularDataError,
     fit_whitening,
@@ -48,6 +50,22 @@ class TestKurtosis:
     def test_too_short(self):
         with pytest.raises(DimensionError):
             kurtosis(np.array([1.0, 2.0, 3.0]))
+
+    def test_fourth_moment_overflow_is_named_unwarned(self):
+        # the variance, about 4e199, is finite; its square and m4 are not
+        y = np.array([1e100, -1e100, 3e99, 0.0, 5e99])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError, match="fourth moment"):
+                kurtosis(y)
+            assert np.isnan(row_kurtosis(np.vstack([y, y]))).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="finite"):
+                kurtosis(np.array([1.0, 2.0, bad, 4.0, 5.0]))
 
 
 class TestRowKurtosis:
