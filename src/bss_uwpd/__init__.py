@@ -50,7 +50,9 @@ from .pipeline import (
     METHOD_FASTICA,
     METHOD_PROPOSED,
     METHOD_SOBI,
+    METHODS,
     SeparationResult,
+    separate,
     separate_baseline,
     separate_proposed,
 )

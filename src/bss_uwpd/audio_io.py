@@ -24,6 +24,15 @@ PIPELINE_RATE_HZ = 8000
 _PCM_FULL_SCALE = 32768  # 16-bit integer range is [-32768, 32767]
 
 
+def set_read_only(obj, **arrays):
+    """Set each named field of a frozen dataclass to a read-only float64
+    copy of its array, which the caller's array then cannot change."""
+    for name, value in arrays.items():
+        value = np.array(value, dtype=np.float64)
+        value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class Signal:
     """A uniformly sampled real-valued sequence.
@@ -43,9 +52,7 @@ class Signal:
             raise ParameterError("signal samples must be finite")
         if self.sample_rate_hz <= 0:
             raise ParameterError("sample rate must be positive")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
+        set_read_only(self, samples=arr)
         object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
 
     def __len__(self):
@@ -66,9 +73,7 @@ class MixingMatrix:
             raise ParameterError("mixing matrix entries must be finite")
         if abs(np.linalg.det(a)) <= 1e-12:
             raise ParameterError("mixing matrix is singular; sources unrecoverable")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
+        set_read_only(self, entries=a)
 
 
 def read_wav(path) -> Signal:

@@ -30,19 +30,10 @@ import numpy as np
 from .audio_io import MixingMatrix, Signal, decimate_to_8k, mix, read_wav, write_wav
 from .errors import BssError, DegenerateInputError, ParameterError
 from .metrics import evaluate_pair
-from .pipeline import (
-    METHOD_FASTICA,
-    METHOD_PROPOSED,
-    METHOD_SOBI,
-    SeparationResult,
-    separate_baseline,
-    separate_proposed,
-)
-from .separators import DEFAULT_SOBI_LAGS, IcaOptions
+from .pipeline import METHODS, SeparationResult, separate
+from .separators import DEFAULT_SOBI_LAGS, IcaOptions, check_lags
 
-DEFAULT_MATRIX = ((2.0, 1.0), (1.0, 1.0))
 MIX_PEAK = 0.9
-METHOD_NAMES = (METHOD_PROPOSED, METHOD_FASTICA, METHOD_SOBI)
 
 METRIC_COLUMNS = ("SIR", "SDR", "segSNR", "overallSNR")
 
@@ -99,10 +90,12 @@ def _parse_lags(text: str):
     try:
         if "-" in text and "," not in text:
             first, last = text.split("-", 1)
-            return tuple(range(int(first), int(last) + 1))
-        return tuple(int(p) for p in text.split(","))
+            lags = range(int(first), int(last) + 1)
+        else:
+            lags = [int(p) for p in text.split(",")]
     except ValueError:
         raise ParameterError(f"--lags needs e.g. 1-20 or 1,2,5, got {text!r}") from None
+    return check_lags(lags)
 
 
 def _load_mixture_inputs(paths):
@@ -148,12 +141,9 @@ def _ica_options(args) -> IcaOptions:
 def _run_method(name: str, mixtures, opts: IcaOptions, lags) -> SeparationResult:
     """Separate with one method; a fit that did not converge is warned
     about on stderr, never in the artifacts."""
-    if name == METHOD_PROPOSED:
-        result = separate_proposed(mixtures[0], mixtures[1], opts)
-    else:
-        result = separate_baseline(mixtures[0], mixtures[1], name, opts, lags)
-    if not result.converged:
-        print(f"warning: {name} did not converge in {result.iterations} iterations",
+    result = separate(mixtures[0], mixtures[1], name, opts, lags)
+    if not result.model.converged:
+        print(f"warning: {name} did not converge in {result.model.iterations} iterations",
               file=sys.stderr)
     return result
 
@@ -172,8 +162,8 @@ def _write_estimates(out: Path, name: str, result: SeparationResult, seed: int):
         "method": name,
         "seed": seed,
         "selected_node": list(result.selected_node) if result.selected_node else None,
-        "iterations": result.iterations,
-        "converged": result.converged,
+        "iterations": result.model.iterations,
+        "converged": result.model.converged,
         "ill_conditioned": result.model.ill_conditioned,
         "estimates": names,
     }
@@ -263,7 +253,7 @@ def cmd_experiment(args) -> int:
     matrix = _parse_matrix(args.matrix)
     methods = args.methods.split(",")
     for name in methods:
-        if name not in METHOD_NAMES:
+        if name not in METHODS:
             raise ParameterError(f"unknown method {name!r}")
     if len(set(methods)) != len(methods):
         raise ParameterError(f"--methods names a method twice: {args.methods!r}")
@@ -294,10 +284,8 @@ def cmd_experiment(args) -> int:
     ref_signals = [read_wav(out / ref_name) for ref_name in ref_names]
     records = []
     table_rows = []
-    for name in methods:
-        if name not in results:
-            continue
-        record = _write_estimates(out, name, results[name], opts.seed)
+    for name, result in results.items():
+        record = _write_estimates(out, name, result, opts.seed)
         records.append(record)
         table_rows += _score(name, [out / est for est in record["estimates"]], ref_signals)
     _atomic_write_text(out / "runs.jsonl", _jsonl(records))
@@ -340,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sep = sub.add_parser("separate", help="separate one mixture pair")
     p_sep.add_argument("mix1")
     p_sep.add_argument("mix2")
-    p_sep.add_argument("--method", choices=METHOD_NAMES, required=True)
+    p_sep.add_argument("--method", choices=METHODS, required=True)
     p_sep.add_argument("--out", required=True)
     add_common(p_sep)
     p_sep.set_defaults(func=cmd_separate)
@@ -358,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("source1")
     p_exp.add_argument("source2")
     p_exp.add_argument("--matrix", default="2,1,1,1", help="a11,a12,a21,a22")
-    p_exp.add_argument("--methods", default=",".join(METHOD_NAMES),
-                       help=f"comma-separated subset of {','.join(METHOD_NAMES)}")
+    p_exp.add_argument("--methods", default=",".join(METHODS),
+                       help=f"comma-separated subset of {','.join(METHODS)}")
     p_exp.add_argument("--out", required=True)
     add_common(p_exp)
     p_exp.set_defaults(func=cmd_experiment)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import PIPELINE_RATE_HZ, Signal
+from .audio_io import PIPELINE_RATE_HZ, Signal, set_read_only
 from .errors import DimensionError, ParameterError, UnsupportedRateError
 
 MAX_LEVEL = 5
@@ -71,12 +71,7 @@ class FilterPair:
     g: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=np.float64).copy()
-        g = np.asarray(self.g, dtype=np.float64).copy()
-        h.setflags(write=False)
-        g.setflags(write=False)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "g", g)
+        set_read_only(self, h=self.h, g=self.g)
 
 
 def db4_filters() -> FilterPair:

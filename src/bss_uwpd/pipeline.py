@@ -34,18 +34,18 @@ from .stats import NodeScore, WhiteningModel, row_kurtosis, running_best
 METHOD_PROPOSED = "proposed"
 METHOD_FASTICA = "fastica"
 METHOD_SOBI = "sobi"
+METHODS = (METHOD_PROPOSED, METHOD_FASTICA, METHOD_SOBI)
 
 
 @dataclass(frozen=True)
 class SeparationResult:
-    """Estimated sources plus fit provenance."""
+    """Estimated sources plus fit provenance; model.converged and
+    model.iterations describe the fit."""
 
     estimates: tuple
     model: UnmixingModel
     selected_node: tuple | None
     method: str
-    converged: bool
-    iterations: int
 
 
 # A pair whose peak lies outside [2**-64, 2**64) is brought to a peak in
@@ -72,7 +72,35 @@ def _stack_pair(x1: Signal, x2: Signal):
     return np.ldexp(x, -e), e
 
 
-def _finish(x, e, model, selected_node, method):
+def _select_subband(x, tree):
+    """The node select_best_node keeps and its block, each node scored as
+    the walk produces it. The root's block is x itself, which the walk never
+    writes; any other block is valid only until the walk advances, so each
+    new leader below the root is copied into one kept buffer."""
+    kept = x
+    scores = (NodeScore(node, *row_kurtosis(coeffs).tolist(), coeffs=coeffs)
+              for node, coeffs in walk(x, tree, db4_filters()))
+    for best in running_best(scores, tree.fs_hz):
+        if best.coeffs is not x:
+            if kept is x:
+                kept = np.empty_like(x)
+            np.copyto(kept, best.coeffs)
+    return best.node, kept
+
+
+def separate(x1: Signal, x2: Signal, method: str, opts: IcaOptions | None = None,
+             lags=DEFAULT_SOBI_LAGS) -> SeparationResult:
+    """Separate two mixtures with one of METHODS: proposed fits FastICA on
+    the kurtosis-selected subband, fastica and sobi fit on the mixtures, and
+    the model is applied to the mixtures, each estimate scaled to unit
+    variance. opts sets the FastICA fits, lags the SOBI fit."""
+    if method not in METHODS:
+        raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
+    x, e = _stack_pair(x1, x2)
+    selected_node, fitted = None, x
+    if method == METHOD_PROPOSED:
+        selected_node, fitted = _select_subband(x, build_cb_tree())
+    model = sobi(x, lags) if method == METHOD_SOBI else fastica(fitted, opts)
     estimates = apply_unmixing(model, x, mean=x.mean(axis=1))
     estimates = estimates / estimates.std(axis=1, keepdims=True)
     if e:
@@ -92,52 +120,19 @@ def _finish(x, e, model, selected_node, method):
         model=model,
         selected_node=selected_node,
         method=method,
-        converged=model.converged,
-        iterations=model.iterations,
     )
 
 
-def _select_subband(x, tree):
-    """The node select_best_node keeps and its block, each node scored as
-    the walk produces it. The root's block is x itself, which the walk never
-    writes; any other block is valid only until the walk advances, so each
-    new leader below the root is copied into one kept buffer."""
-    kept = x
-    scores = (NodeScore(node, *row_kurtosis(coeffs).tolist(), coeffs=coeffs)
-              for node, coeffs in walk(x, tree, db4_filters()))
-    for best in running_best(scores, tree.fs_hz):
-        if best.coeffs is not x:
-            if kept is x:
-                kept = np.empty_like(x)
-            np.copyto(kept, best.coeffs)
-    return best.node, kept
+def separate_proposed(x1: Signal, x2: Signal,
+                      opts: IcaOptions | None = None) -> SeparationResult:
+    """separate with the proposed method."""
+    return separate(x1, x2, METHOD_PROPOSED, opts)
 
 
-def separate_proposed(
-    x1: Signal, x2: Signal, opts: IcaOptions | None = None
-) -> SeparationResult:
-    """Separate two mixtures via the kurtosis-selected subband."""
-    x, e = _stack_pair(x1, x2)
-    selected, subband = _select_subband(x, build_cb_tree())
-    model = fastica(subband, opts if opts is not None else IcaOptions())
-    return _finish(x, e, model, selected, METHOD_PROPOSED)
-
-
-def separate_baseline(
-    x1: Signal,
-    x2: Signal,
-    method: str,
-    opts: IcaOptions | None = None,
-    lags=DEFAULT_SOBI_LAGS,
-) -> SeparationResult:
-    """Separate two mixtures with a model fitted directly in the time domain."""
-    x, e = _stack_pair(x1, x2)
-    if method == METHOD_FASTICA:
-        model = fastica(x, opts if opts is not None else IcaOptions())
-    elif method == METHOD_SOBI:
-        model = sobi(x, lags)
-    else:
-        raise ParameterError(
-            f"method must be {METHOD_FASTICA!r} or {METHOD_SOBI!r}, got {method!r}"
-        )
-    return _finish(x, e, model, None, method)
+def separate_baseline(x1: Signal, x2: Signal, method: str,
+                      opts: IcaOptions | None = None,
+                      lags=DEFAULT_SOBI_LAGS) -> SeparationResult:
+    """separate with fastica or sobi, the methods fitted on the mixtures."""
+    if method == METHOD_PROPOSED:
+        raise ParameterError(f"{method!r} is not a baseline method")
+    return separate(x1, x2, method, opts, lags)

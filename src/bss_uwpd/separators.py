@@ -13,16 +13,11 @@ from numbers import Integral
 
 import numpy as np
 
+from .audio_io import set_read_only
 from .errors import DimensionError, ParameterError
-from .stats import WhiteningModel, as_pair, fit_whitening
+from .stats import BLOCK_COLUMNS, WhiteningModel, affine, as_pair, fit_whitening
 
 DEFAULT_SOBI_LAGS = tuple(range(1, 21))
-
-# Columns per block of the FastICA step and the SOBI lag sums: a block of a
-# (2, N) pair is 512 KiB, so it stays in L2 while every product that reads
-# it is formed. The width depends on neither the data nor the BLAS thread
-# count, so the block sums, and the fitted models, are the same on every run.
-_BLOCK_COLUMNS = 32768
 
 
 # Each contrast takes a block u of w @ z, writes g(u) over it and returns it
@@ -89,9 +84,7 @@ class UnmixingModel:
     ill_conditioned: bool = False
 
     def __post_init__(self):
-        rotation = np.asarray(self.rotation, dtype=np.float64).copy()
-        rotation.setflags(write=False)
-        object.__setattr__(self, "rotation", rotation)
+        set_read_only(self, rotation=self.rotation)
 
     @property
     def combined(self) -> np.ndarray:
@@ -117,13 +110,13 @@ def _fastica_step(w, z, contrast: str) -> np.ndarray:
     z g while it is in cache; no full-length u or g(u) is made."""
     g_sums, offset = _CONTRASTS[contrast]
     n = z.shape[1]
-    u = np.empty((2, min(n, _BLOCK_COLUMNS)))
+    u = np.empty((2, min(n, BLOCK_COLUMNS)))
     # -0.0 is the exact additive identity, so one block gives the same bits
     # as the whole-array expressions
     gz = np.full((2, 2), -0.0)
     gp = np.full(2, -0.0)
-    for start in range(0, n, _BLOCK_COLUMNS):
-        zb = z[:, start : start + _BLOCK_COLUMNS]
+    for start in range(0, n, BLOCK_COLUMNS):
+        zb = z[:, start : start + BLOCK_COLUMNS]
         gu, s = g_sums(np.matmul(w, zb, out=u[:, : zb.shape[1]]))
         gp += s
         gz += gu @ zb.T
@@ -147,7 +140,6 @@ def fastica(x, opts: IcaOptions | None = None) -> UnmixingModel:
     rng = np.random.default_rng(opts.seed)
     w = _random_orthonormal(rng)
     converged = False
-    iterations = 0
     for iterations in range(1, opts.max_iterations + 1):
         w_old = w
         w = _sym_orthogonalize(_fastica_step(w, z, opts.contrast))
@@ -196,14 +188,22 @@ def _lagged_covariances(z, lags) -> np.ndarray:
     # -0.0 is the exact additive identity, so one block gives the same bits
     # as z[:, lag:] @ z[:, :-lag].T
     sums = np.full((len(lags), 2, 2), -0.0)
-    for start in range(0, n, _BLOCK_COLUMNS):
-        stop = min(start + _BLOCK_COLUMNS, n)
+    for start in range(0, n, BLOCK_COLUMNS):
+        stop = min(start + BLOCK_COLUMNS, n)
         for k, lag in enumerate(lags):
             lo = max(start, lag)
             if lo < stop:
                 sums[k] += z[:, lo:stop] @ z[:, lo - lag : stop - lag].T
     r = sums / (n - np.array(lags))[:, None, None]
     return 0.5 * (r + r.transpose(0, 2, 1))
+
+
+def check_lags(lags) -> tuple:
+    """SOBI lags as a tuple of ints: at least one, each >= 1."""
+    lags = tuple(int(lag) for lag in lags)
+    if not lags or min(lags) < 1:
+        raise ParameterError(f"lags must be one or more integers >= 1, got {lags}")
+    return lags
 
 
 def sobi(x, lags=DEFAULT_SOBI_LAGS) -> UnmixingModel:
@@ -216,11 +216,7 @@ def sobi(x, lags=DEFAULT_SOBI_LAGS) -> UnmixingModel:
     """
     x = as_pair(x, 2, "sobi")
     n = x.shape[1]
-    lags = tuple(int(lag) for lag in lags)
-    if not lags:
-        raise ParameterError("need at least one lag")
-    if min(lags) < 1:
-        raise ParameterError("lags must be positive")
+    lags = check_lags(lags)
     if max(lags) >= n / 4:
         raise DimensionError(f"max lag {max(lags)} too large for {n} samples")
     whitening = fit_whitening(x)
@@ -230,13 +226,9 @@ def sobi(x, lags=DEFAULT_SOBI_LAGS) -> UnmixingModel:
     # noise floor second-order statistics cannot identify a rotation
     strength = np.hypot(0.5 * (covs[:, 0, 0] - covs[:, 1, 1]), covs[:, 0, 1]).max()
     ill = strength < min(0.2, 10.0 / np.sqrt(n))
-    v, off_history = joint_diagonalize(covs)
+    v = joint_diagonalize(covs)[0]
     return UnmixingModel(
-        whitening=whitening,
-        rotation=v.T,
-        converged=True,
-        iterations=len(off_history) - 1,
-        ill_conditioned=bool(ill),
+        whitening=whitening, rotation=v.T, iterations=1, ill_conditioned=bool(ill)
     )
 
 
@@ -246,8 +238,6 @@ def apply_unmixing(model: UnmixingModel, x, mean=None) -> np.ndarray:
     mean defaults to the model's fitted mean; pass an explicit mean when the
     model was fitted on subband coefficients but is applied to raw mixtures.
     """
-    x = np.asarray(x, dtype=np.float64)
     if mean is None:
         mean = model.whitening.mean
-    mean = np.asarray(mean, dtype=np.float64)
-    return model.combined @ (x - mean[:, None])
+    return affine(model.combined, x, mean)

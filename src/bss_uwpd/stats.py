@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio_io import PIPELINE_RATE_HZ
+from .audio_io import PIPELINE_RATE_HZ, set_read_only
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -22,6 +22,11 @@ from .errors import (
 )
 from .filterbank import CbTree
 
+# Columns per block of a pass over (2, N) data: a block of a pair is 512 KiB,
+# so it stays in L2 while every product that reads it is formed. The width
+# depends on neither the data nor the BLAS thread count, so the block sums,
+# and the fitted models, are the same on every run.
+BLOCK_COLUMNS = 32768
 
 # Columns per block of row_kurtosis: the scratch of a (2, N) pair is 256 KiB,
 # and as the width does not depend on the row count, a row's block sums are
@@ -39,16 +44,13 @@ def row_kurtosis(c) -> np.ndarray:
     n = c.shape[-1]
     if n < 4:
         raise DimensionError(f"kurtosis needs >= 4 samples, got {n}")
-    scratch = np.empty(c.shape[:-1] + (min(n, _KURTOSIS_COLUMNS),))
     m2 = np.zeros(c.shape[:-1])
     m4 = np.zeros(c.shape[:-1])
     # a row whose moments leave the float64 range scores NaN, unwarned
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # mean's pairwise sums give a row the same value in any array shape
         mean = c.mean(axis=-1, keepdims=True)
-        for start in range(0, n, _KURTOSIS_COLUMNS):
-            sq = scratch[..., : min(n - start, _KURTOSIS_COLUMNS)]
-            np.subtract(c[..., start : start + sq.shape[-1]], mean, out=sq)
+        for _, sq in centred_blocks(c, mean, _KURTOSIS_COLUMNS):
             np.multiply(sq, sq, out=sq)
             m2 += sq.sum(axis=-1)
             np.multiply(sq, sq, out=sq)
@@ -140,16 +142,34 @@ class WhiteningModel:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64).copy()
-        matrix = np.asarray(self.matrix, dtype=np.float64).copy()
-        mean.setflags(write=False)
-        matrix.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "matrix", matrix)
+        set_read_only(self, mean=self.mean, matrix=self.matrix)
 
     def transform(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return self.matrix @ (x - self.mean[:, None])
+        return affine(self.matrix, x, self.mean)
+
+
+def centred_blocks(x, mean, columns=BLOCK_COLUMNS):
+    """Yield (start, d) per block of the given number of columns of (..., N)
+    data x, d being the block minus mean (shaped (..., 1)), each d a view of
+    one scratch valid until the next is drawn. A last block of one column
+    joins the one before: numpy would form its product with a matrix as a
+    matrix-vector product, whose bits can differ."""
+    n = x.shape[-1]
+    scratch = np.empty(x.shape[:-1] + (min(n, columns + 1),))
+    for start in range(0, max(n - 1, 1), columns):
+        width = n - start if n - start <= columns + 1 else columns
+        yield start, np.subtract(x[..., start : start + width], mean,
+                                 out=scratch[..., :width])
+
+
+def affine(m, x, mean) -> np.ndarray:
+    """m @ (x - mean[:, None]) for (2, N) data x, formed one column block
+    at a time; each output column has the bits of the whole-array form."""
+    x = as_pair(x, 1, "an affine pass")
+    out = np.empty((len(m), x.shape[1]))
+    for start, d in centred_blocks(x, np.asarray(mean, dtype=np.float64)[:, None]):
+        np.matmul(m, d, out=out[:, start : start + d.shape[1]])
+    return out
 
 
 def as_pair(x, min_samples: int, what: str) -> np.ndarray:
@@ -168,8 +188,12 @@ def fit_whitening(x) -> WhiteningModel:
     of the (biased) sample covariance of 2-channel data shaped (2, N)."""
     x = as_pair(x, 2, "whitening")
     mean = x.mean(axis=1)
-    centered = x - mean[:, None]
-    cov = centered @ centered.T / x.shape[1]
+    # -0.0 is the exact additive identity, so one block gives the same bits
+    # as the whole-array centred product
+    cov = np.full((2, 2), -0.0)
+    for _, d in centred_blocks(x, mean[:, None]):
+        cov += d @ d.T
+    cov /= x.shape[1]
     evals, evecs = np.linalg.eigh(cov)
     if evals[0] <= 1e-12 * evals[-1]:
         raise SingularDataError(

@@ -11,11 +11,14 @@ from scipy.signal import firwin, lfilter
 
 from bss_uwpd import (
     DimensionError,
+    FilterPair,
     MixingMatrix,
     ParameterError,
     Signal,
+    UnmixingModel,
     UnsupportedRateError,
     WavFormatError,
+    WhiteningModel,
     decimate_to_8k,
     mix,
     read_wav,
@@ -266,3 +269,35 @@ def test_package_imports_without_scipy():
         env=env, check=True, capture_output=True, text=True, timeout=120,
     )
     assert done.stdout.strip() == "[]"
+
+
+# each array field of the frozen value types: (build from an array, field, array)
+_ARRAY_FIELDS = {
+    "Signal.samples": (lambda a: Signal(a, 8000), "samples", [0.5, -0.25, 1.0]),
+    "MixingMatrix.entries": (MixingMatrix, "entries", [[2.0, 1.0], [1.0, 1.0]]),
+    "FilterPair.h": (lambda a: FilterPair(h=a, g=[0.5, -0.5]), "h", [0.5, 0.5]),
+    "FilterPair.g": (lambda a: FilterPair(h=[0.5, 0.5], g=a), "g", [0.5, -0.5]),
+    "WhiteningModel.mean": (
+        lambda a: WhiteningModel(mean=a, matrix=np.eye(2)), "mean", [1.0, -2.0]
+    ),
+    "WhiteningModel.matrix": (
+        lambda a: WhiteningModel(mean=np.zeros(2), matrix=a), "matrix", [[2.0, 0.0], [0.0, 0.5]]
+    ),
+    "UnmixingModel.rotation": (
+        lambda a: UnmixingModel(WhiteningModel(mean=np.zeros(2), matrix=np.eye(2)), a),
+        "rotation",
+        [[0.0, 1.0], [1.0, 0.0]],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_ARRAY_FIELDS))
+def test_array_fields_are_read_only_copies(case):
+    build, name, values = _ARRAY_FIELDS[case]
+    given = np.array(values)
+    field = getattr(build(given), name)
+    assert field.dtype == np.float64
+    with pytest.raises(ValueError):
+        field[0] = 7.0
+    given[...] = 7.0
+    assert np.array_equal(field, values)

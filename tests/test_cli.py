@@ -105,7 +105,8 @@ class TestSeparate:
         assert isinstance(record["converged"], bool)
 
     def test_non_numeric_lags(self, tmp_path, mixture_dir):
-        for text in ("1-x", "1,x"):
+        # malformed, then well formed but not all >= 1 (5-1 names no lag)
+        for text in ("1-x", "1,x", "0", "5-1", "1,-3"):
             with pytest.raises(ParameterError):
                 _parse_lags(text)
         with pytest.raises(SystemExit) as exit_info:
@@ -304,6 +305,15 @@ class TestExperiment:
                      "--out", str(out), "--seed", "4"])
         assert code == 2
         assert "twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lags", ["0", "5-1", "1,-3"])
+    def test_bad_lags_exit_2_before_any_artifact(self, tmp_path, speech_wavs, lags):
+        out = tmp_path / "exp"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", *map(str, speech_wavs), "--lags", lags,
+                  "--out", str(out)])
+        assert exit_info.value.code == 2
         assert not out.exists()
 
     def test_identical_source_paths_rejected(self, tmp_path, speech_wavs):

@@ -23,6 +23,7 @@ from bss_uwpd import (
     mix,
     score_nodes,
     select_best_node,
+    separate,
     separate_baseline,
     separate_proposed,
     synth_source,
@@ -290,6 +291,9 @@ class TestBaselines:
 
     def test_unknown_method(self, mixture):
         _, _, x1, x2 = mixture
-        for name in ("jade", "fastica_plain"):
+        for name in ("jade", "fastica_plain", "proposed"):
             with pytest.raises(ParameterError):
                 separate_baseline(x1, x2, name)
+        for name in ("jade", "Proposed", ""):
+            with pytest.raises(ParameterError):
+                separate(x1, x2, name)

@@ -171,11 +171,15 @@ class TestSobi:
 BLOCK_LENGTHS = [32767, 32768, 32769, 3 * 32768 + 17, 100003]
 
 
-def _whitened_ar_pair(n):
+def _ar_pair(n):
     s1 = synth_source("ar1", n, seed=n, pole=0.9)
     s2 = synth_source("laplacian", n, seed=n + 1)
     x1, x2 = mix((s1, s2), MixingMatrix(EQ8_MATRIX))
-    x = np.vstack([x1.samples, x2.samples])
+    return np.vstack([x1.samples, x2.samples])
+
+
+def _whitened_ar_pair(n):
+    x = _ar_pair(n)
     return fit_whitening(x).transform(x)
 
 
@@ -238,6 +242,31 @@ class TestColumnBlocks:
             _fastica_step(w, z, contrast), _whole_array_step(w, z, contrast), n
         )
 
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    def test_affine_passes_match_whole_array(self, n):
+        # whitening, and unmixing at the fitted and at a caller's mean; the
+        # blocked pass equals the whole-array form at every length
+        x = _ar_pair(n)
+        whitening = fit_whitening(x)
+        rotation = np.linalg.qr(np.random.default_rng(n).standard_normal((2, 2)))[0]
+        model = UnmixingModel(whitening=whitening, rotation=rotation)
+        mean = x.mean(axis=1) + 0.25
+        for got, m, mu in (
+            (whitening.transform(x), whitening.matrix, whitening.mean),
+            (apply_unmixing(model, x), model.combined, whitening.mean),
+            (apply_unmixing(model, x, mean), model.combined, mean),
+        ):
+            want = m @ (x - mu[:, None])
+            _assert_matches_whole_array(got, want, n)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    def test_whitening_matrix_matches_whole_array(self, n):
+        x = _ar_pair(n)
+        centred = x - x.mean(axis=1)[:, None]
+        evals, evecs = np.linalg.eigh(centred @ centred.T / n)
+        _assert_matches_whole_array(fit_whitening(x).matrix, (evecs / np.sqrt(evals)).T, n)
+
     def test_models_do_not_depend_on_blas_threads(self):
         # several blocks, so each block's products go through BLAS
         script = (
@@ -274,6 +303,17 @@ class TestApply:
         x = np.array([[2.0, 0.0], [-1.0, -3.0]])
         out = apply_unmixing(model, x)
         assert np.allclose(out, x - np.array([[1.0], [-2.0]]), atol=1e-15)
+
+    def test_data_not_shaped_2_by_n_is_rejected(self):
+        model = UnmixingModel(
+            whitening=WhiteningModel(mean=np.zeros(2), matrix=np.eye(2)),
+            rotation=np.eye(2),
+        )
+        for bad in (np.zeros(5), np.zeros((3, 5))):
+            with pytest.raises(DimensionError):
+                apply_unmixing(model, bad)
+            with pytest.raises(DimensionError):
+                model.whitening.transform(bad)
 
     def test_recovers_correlated_sources(self):
         x, s = _mixed("uniform", "uniform")
