@@ -90,12 +90,12 @@ def _parse_lags(text: str):
     try:
         if "-" in text and "," not in text:
             first, last = text.split("-", 1)
-            lags = range(int(first), int(last) + 1)
-        else:
-            lags = [int(p) for p in text.split(",")]
+            return check_lags(range(int(first), int(last) + 1))
+        return check_lags(int(p) for p in text.split(","))
+    except ParameterError as exc:  # argparse prints only an ArgumentTypeError's message
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
-        raise ParameterError(f"--lags needs e.g. 1-20 or 1,2,5, got {text!r}") from None
-    return check_lags(lags)
+        raise argparse.ArgumentTypeError(f"needs e.g. 1-20 or 1,2,5, got {text!r}") from None
 
 
 def _load_mixture_inputs(paths):

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import Signal
 from .errors import (
@@ -26,7 +25,7 @@ from .errors import (
 DB_CAP = 300.0
 
 SEG_FRAME = 256
-SEG_HOP = 128
+SEG_HOP = SEG_FRAME // 2  # half-overlapping frames: each is two half-frames
 SEG_FLOOR_DB = -10.0
 SEG_CEIL_DB = 35.0
 
@@ -68,27 +67,38 @@ def _samples(*signals):
     return arrays
 
 
+def _gram(arrays):
+    """Symmetric table of the arrays' pairwise `_dot` products."""
+    gram = np.empty((len(arrays), len(arrays)))
+    for i, j in zip(*np.triu_indices(len(arrays))):
+        gram[i, j] = gram[j, i] = _dot(arrays[i], arrays[j])
+    return gram
+
+
+def _align(arrays):
+    """Gram table of [e0, e1, r0, r1], then align's rule on G_ij - S_i S_j / N."""
+    if not arrays[0].size or any(arr.min() == arr.max() for arr in arrays):
+        raise DegenerateInputError("zero-variance signal cannot be aligned")
+    gram = _gram(arrays)
+    sums = np.array([arr.sum() for arr in arrays])
+    centred = gram - np.outer(sums, sums) / arrays[0].size
+    if np.any(np.diag(centred) <= 1e-10 * np.diag(gram)):  # too few digits left
+        raise DegenerateInputError("signal variance is lost in the rounding of its mean")
+    norms = np.sqrt(np.diag(centred))
+    corr = centred[:2, 2:] / np.outer(norms[:2], norms[2:])
+    permutation = (0, 1) if np.trace(abs(corr)) >= np.trace(abs(corr)[::-1]) else (1, 0)
+    signs = tuple(1 if corr[i, permutation[i]] >= 0 else -1 for i in range(2))
+    return gram, permutation, signs
+
+
 def align(estimates, references):
     """Match estimates to references by absolute Pearson correlation.
 
     Returns (permutation, signs) where permutation[i] is the reference index
     assigned to estimate i and signs[i] is the sign of that correlation.
+    A constant signal is rejected.
     """
-    centered = [arr - arr.mean() for arr in _samples(*estimates, *references)]
-    norms = [np.sqrt(_dot(arr, arr)) for arr in centered]
-    if min(norms) == 0.0:
-        raise DegenerateInputError("zero-variance signal cannot be aligned")
-    est, ref = centered[:2], centered[2:]
-    corr = np.array(
-        [[_dot(ei, rj) / (norms[i] * norms[2 + j]) for j, rj in enumerate(ref)]
-         for i, ei in enumerate(est)]
-    )
-    if abs(corr[0, 0]) + abs(corr[1, 1]) >= abs(corr[0, 1]) + abs(corr[1, 0]):
-        permutation = (0, 1)
-    else:
-        permutation = (1, 0)
-    signs = tuple(1 if corr[i, permutation[i]] >= 0 else -1 for i in range(2))
-    return permutation, signs
+    return _align(_samples(*estimates, *references))[1:]
 
 
 @dataclass(frozen=True)
@@ -101,6 +111,16 @@ class BssDecomposition:
     collinear: bool = False
 
 
+def _coefficients(gram, projections, target_index):
+    """Target coefficient, span coefficients (None if collinear), collinear flag."""
+    target_energy = gram[target_index, target_index]
+    if target_energy <= 0.0:
+        raise DegenerateInputError("target reference carries no energy")
+    collinear = np.linalg.det(gram) <= 1e-12 * gram[0, 0] * gram[1, 1]
+    coeffs = None if collinear else np.linalg.solve(gram, projections)
+    return projections[target_index] / target_energy, coeffs, collinear
+
+
 def bss_decompose(estimate, references, target_index: int) -> BssDecomposition:
     """Project an estimate onto the matched reference and the reference span.
 
@@ -110,24 +130,12 @@ def bss_decompose(estimate, references, target_index: int) -> BssDecomposition:
     decomposition is flagged.
     """
     e, *refs = _samples(estimate, *references)
-    cross = _dot(refs[0], refs[1])
-    gram = np.array([[_dot(refs[0], refs[0]), cross], [cross, _dot(refs[1], refs[1])]])
-    target_energy = gram[target_index, target_index]
-    if target_energy <= 0.0:
-        raise DegenerateInputError("target reference carries no energy")
     projections = np.array([_dot(r, e) for r in refs])
-    s_target = (projections[target_index] / target_energy) * refs[target_index]
-    collinear = np.linalg.det(gram) <= 1e-12 * gram[0, 0] * gram[1, 1]
-    if collinear:
-        p_span = s_target
-    else:
-        coeffs = np.linalg.solve(gram, projections)
-        p_span = coeffs[0] * refs[0] + coeffs[1] * refs[1]
-    e_interf = p_span - s_target
-    e_artif = e - p_span
-    return BssDecomposition(
-        s_target=s_target, e_interf=e_interf, e_artif=e_artif, collinear=collinear
-    )
+    beta, coeffs, collinear = _coefficients(_gram(refs), projections, target_index)
+    s_target = beta * refs[target_index]
+    p_span = s_target if collinear else coeffs[0] * refs[0] + coeffs[1] * refs[1]
+    return BssDecomposition(s_target=s_target, e_interf=p_span - s_target,
+                            e_artif=e - p_span, collinear=collinear)
 
 
 def sir(decomposition: BssDecomposition) -> float:
@@ -152,6 +160,27 @@ def _ls_gain(reference, estimate):
     return (_dot(reference, estimate) / denom) if denom > 0.0 else 0.0
 
 
+def _frame_energies(x):
+    """Energies of the SEG_FRAME frames at SEG_HOP, summed from half-frames."""
+    halves = x[: x.size - x.size % SEG_HOP].reshape(-1, SEG_HOP)
+    energies = np.einsum("ij,ij->i", halves, halves)
+    return energies[:-1] + energies[1:]
+
+
+def _segmental(ref, residual) -> float:
+    """Mean clamped frame SNR of ref against residual over voiced frames."""
+    if ref.size < SEG_FRAME:
+        raise DimensionError(f"need one whole {SEG_FRAME}-sample frame, got {ref.size} samples")
+    ref_energy = _frame_energies(ref)
+    voiced = ref_energy > 1e-12
+    if not voiced.any():
+        raise DegenerateInputError("reference is silent in every frame")
+    with np.errstate(divide="ignore"):
+        ratios = ref_energy[voiced] / _frame_energies(residual)[voiced]
+    # a noiseless frame divides to +inf, which the ceiling clips to 35 dB
+    return float(np.mean(np.clip(10.0 * np.log10(ratios), SEG_FLOOR_DB, SEG_CEIL_DB)))
+
+
 def segmental_snr(estimate, reference) -> float:
     """Mean per-frame SNR in dB over 256-sample frames with 50% overlap.
 
@@ -160,22 +189,7 @@ def segmental_snr(estimate, reference) -> float:
     reference are excluded.
     """
     est, ref = _samples(estimate, reference)
-    if ref.size < SEG_FRAME:
-        raise DimensionError(
-            f"need at least one {SEG_FRAME}-sample frame, got {ref.size} samples"
-        )
-    residual = ref - _ls_gain(ref, est) * est
-    ref_frames = sliding_window_view(ref, SEG_FRAME)[::SEG_HOP]
-    noise_frames = sliding_window_view(residual, SEG_FRAME)[::SEG_HOP]
-    ref_energy = np.einsum("ij,ij->i", ref_frames, ref_frames)
-    noise_energy = np.einsum("ij,ij->i", noise_frames, noise_frames)
-    voiced = ref_energy > 1e-12
-    if not voiced.any():
-        raise DegenerateInputError("reference is silent in every frame")
-    with np.errstate(divide="ignore"):
-        ratios = ref_energy[voiced] / noise_energy[voiced]
-    # a noiseless frame divides to +inf, which the ceiling clips to 35 dB
-    return float(np.mean(np.clip(10.0 * np.log10(ratios), SEG_FLOOR_DB, SEG_CEIL_DB)))
+    return _segmental(ref, ref - _ls_gain(ref, est) * est)
 
 
 def overall_snr(estimate, reference) -> float:
@@ -209,6 +223,7 @@ def evaluate_pair(estimates, references) -> MetricsReport:
     """Align two estimates with two references and score every metric.
 
     per_source[k] holds the metrics of the estimate matched to reference k.
+    Every score comes from one Gram table of the raw estimates and references.
     Signals of different sample rates are rejected.
     """
     rates = {s.sample_rate_hz for s in (*estimates, *references) if isinstance(s, Signal)}
@@ -216,20 +231,25 @@ def evaluate_pair(estimates, references) -> MetricsReport:
         raise UnsupportedRateError(
             f"estimates and references must share one sample rate, got {sorted(rates)} Hz"
         )
-    permutation, signs = align(estimates, references)
+    arrays = _samples(*estimates, *references)
+    gram, permutation, signs = _align(arrays)
+    scratch = np.empty(arrays[0].size)
     per_source = []
-    for source_index in range(2):
-        estimate_index = permutation.index(source_index)
-        aligned = signs[estimate_index] * _samples(estimates[estimate_index])[0]
-        decomposition = bss_decompose(aligned, references, source_index)
-        per_source.append(
-            SourceMetrics(
-                sir_db=sir(decomposition),
-                sdr_db=sdr(decomposition),
-                seg_snr_db=segmental_snr(aligned, references[source_index]),
-                overall_snr_db=overall_snr(aligned, references[source_index]),
-            )
-        )
-    return MetricsReport(
-        per_source=tuple(per_source), permutation=permutation, signs=signs
-    )
+    for k, (t, o) in enumerate(((2, 3), (3, 2))):
+        i = permutation.index(k)
+        projections = signs[i] * gram[i, 2:]
+        beta, coeffs, collinear = _coefficients(gram[2:, 2:], projections, k)
+        target = beta * projections[k]
+        # the interference is c_o (r_o - (G_to / G_tt) r_t)
+        interference = 0.0 if collinear else coeffs[o - 2] ** 2 * (
+            gram[o, o] - gram[t, o] ** 2 / gram[t, t])
+        # signs fold into scalars: distortion, then gain residual r_t - (G_it / G_ii) e
+        e, r = arrays[i], arrays[t]
+        np.subtract(e, np.multiply(r, signs[i] * beta, out=scratch), out=scratch)
+        sdr_db = _capped_db(target, _dot(scratch, scratch))
+        np.subtract(r, np.multiply(e, gram[i, t] / gram[i, i], out=scratch), out=scratch)
+        per_source.append(SourceMetrics(
+            sir_db=_capped_db(target, interference), sdr_db=sdr_db,
+            seg_snr_db=_segmental(r, scratch),
+            overall_snr_db=_capped_db(gram[t, t], _dot(scratch, scratch))))
+    return MetricsReport(per_source=tuple(per_source), permutation=permutation, signs=signs)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -104,16 +105,21 @@ class TestSeparate:
         assert isinstance(record["iterations"], int)
         assert isinstance(record["converged"], bool)
 
-    def test_non_numeric_lags(self, tmp_path, mixture_dir):
-        # malformed, then well formed but not all >= 1 (5-1 names no lag)
-        for text in ("1-x", "1,x", "0", "5-1", "1,-3"):
-            with pytest.raises(ParameterError):
+    def test_non_numeric_lags(self, tmp_path, mixture_dir, capsys):
+        # malformed, then well formed but not all >= 1 (5-1 names no lag);
+        # argparse prints an ArgumentTypeError's own message
+        for text in ("1-x", "1,x"):
+            with pytest.raises(argparse.ArgumentTypeError, match="needs e.g."):
+                _parse_lags(text)
+        for text in ("0", "5-1", "1,-3"):
+            with pytest.raises(argparse.ArgumentTypeError, match="lags must be"):
                 _parse_lags(text)
         with pytest.raises(SystemExit) as exit_info:
             main(["separate", str(mixture_dir / "mix1.wav"),
                   str(mixture_dir / "mix2.wav"), "--method", "sobi",
                   "--lags", "1-x", "--out", str(tmp_path / "sep")])
         assert exit_info.value.code == 2
+        assert "argument --lags: needs e.g. 1-20 or 1,2,5, got '1-x'" in capsys.readouterr().err
 
     def test_truncated_wav_exits_2(self, tmp_path, mixture_dir, capsys):
         data = (mixture_dir / "mix1.wav").read_bytes()
@@ -308,13 +314,16 @@ class TestExperiment:
         assert not out.exists()
 
     @pytest.mark.parametrize("lags", ["0", "5-1", "1,-3"])
-    def test_bad_lags_exit_2_before_any_artifact(self, tmp_path, speech_wavs, lags):
+    def test_bad_lags_exit_2_before_any_artifact(self, tmp_path, speech_wavs, lags, capsys):
         out = tmp_path / "exp"
         with pytest.raises(SystemExit) as exit_info:
             main(["experiment", *map(str, speech_wavs), "--lags", lags,
                   "--out", str(out)])
         assert exit_info.value.code == 2
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert "lags must be one or more integers >= 1" in err
+        assert "_parse_lags" not in err
 
     def test_identical_source_paths_rejected(self, tmp_path, speech_wavs):
         out = tmp_path / "exp"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,33 @@ class TestAlign:
         live = np.arange(128.0)
         with pytest.raises(DegenerateInputError):
             align([flat, live], [live, live])
+
+    @pytest.mark.parametrize("as_signal", [False, True])
+    @pytest.mark.parametrize("value", [0.3, 7.7])
+    def test_constant_non_zero_signal_rejected(self, value, as_signal):
+        # the rounded mean of these is not the value, so a centred norm
+        # would be tiny rather than zero
+        a, b = np.random.default_rng(20).standard_normal((2, 4097))
+        wrap = (lambda x: Signal(x, 8000)) if as_signal else (lambda x: x)
+        estimates = [wrap(np.full(4097, value)), wrap(a)]
+        references = [wrap(a), wrap(b)]
+        for call in (align, evaluate_pair):
+            with pytest.raises(DegenerateInputError, match="zero-variance"):
+                call(estimates, references)
+            with pytest.raises(DegenerateInputError, match="zero-variance"):
+                call(references, estimates)
+
+    @pytest.mark.parametrize("offset", [3e4, 1e6])
+    def test_offset_far_above_spread(self, offset):
+        # centred products from the Gram table keep their digits up to a
+        # spread of about 1e-5 of the mean; beyond that the error is typed
+        a, b = np.random.default_rng(21).standard_normal((2, 4097))
+        estimates, refs = np.vstack([offset + b, a]), np.vstack([a, b])
+        if offset < 1e5:
+            assert align(estimates, refs) == _align_oracle(estimates, refs) == ((1, 0), (1, 1))
+        else:
+            with pytest.raises(DegenerateInputError, match="rounding of its mean"):
+                align(estimates, refs)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_pairwise_correlation_loop(self, seed):
@@ -320,6 +349,69 @@ class TestEvaluatePair:
         assert report.permutation == (1, 0)
         assert report.signs == (-1, 1)
         assert all(source.sir_db == 300.0 for source in report.per_source)
+
+
+def _scoring_case(kind, n):
+    """Seeded (estimates, references) of length n. "mixed": swapped and
+    negated noisy estimates against references of unlike scale and large
+    offsets; "collinear": references r and -2r; "exact": each estimate
+    equals a reference, swapped and negated."""
+    rng = np.random.default_rng(n)
+    sources = rng.standard_normal((2, n))
+    scales = 10.0 ** rng.uniform(-2.0, 2.0, (2, 1))
+    refs = scales * (sources + rng.normal(0.0, 3.0, (2, 1)))
+    if kind == "collinear":
+        refs[1] = -2.0 * refs[0]
+    if kind == "exact":
+        return np.vstack([-refs[1], refs[0]]), refs
+    estimates = np.array([[0.3, -1.0], [1.0, 0.2]]) @ sources
+    estimates += rng.uniform(0.01, 1.0, (2, 1)) * rng.standard_normal((2, n))
+    return estimates + rng.normal(0.0, 3.0, (2, 1)), refs
+
+
+def _composed_scores(estimates, references):
+    """evaluate_pair's contract written with the public functions."""
+    permutation, signs = align(estimates, references)
+    rows = []
+    for k in range(2):
+        i = permutation.index(k)
+        aligned = signs[i] * estimates[i]
+        d = bss_decompose(aligned, references, k)
+        rows.append((sir(d), sdr(d), segmental_snr(aligned, references[k]),
+                     overall_snr(aligned, references[k])))
+    return permutation, signs, rows
+
+
+class TestEvaluatePairOracle:
+    @pytest.mark.parametrize("n", [256, 257, 383, 4097, 100003])
+    @pytest.mark.parametrize("kind", ["mixed", "collinear", "exact"])
+    def test_equals_public_functions_composed(self, kind, n):
+        estimates, refs = _scoring_case(kind, n)
+        report = evaluate_pair(estimates, refs)
+        permutation, signs, rows = _composed_scores(estimates, refs)
+        assert report.permutation == permutation
+        assert report.signs == signs
+        if kind != "collinear":
+            assert (permutation, signs) == ((1, 0), (-1, 1))
+        for source, row in zip(report.per_source, rows):
+            got = (source.sir_db, source.sdr_db, source.seg_snr_db, source.overall_snr_db)
+            assert np.max(np.abs(np.subtract(got, row))) < 1e-9
+            if kind == "exact":
+                assert got == (300.0, 300.0, 35.0, 300.0)
+            if kind == "collinear":
+                assert source.sir_db == 300.0
+
+    def test_peak_memory_below_five_signal_lengths(self):
+        n = 65536
+        estimates, refs = _scoring_case("mixed", n)
+        evaluate_pair(estimates, refs)
+        tracemalloc.start()
+        try:
+            evaluate_pair(estimates, refs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * n * 8
 
 
 class TestInputChecks:
