@@ -1,3 +1,8 @@
+import collections
+import gc
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,10 +44,26 @@ def roll_step(coeffs, filters, level):
     approx = np.zeros_like(coeffs)
     detail = np.zeros_like(coeffs)
     for k in range(filters.h.size):
-        rolled = np.roll(coeffs, k * stride)
+        rolled = np.roll(coeffs, k * stride, axis=-1)
         approx += filters.h[k] * rolled
         detail += filters.g[k] * rolled
     return approx, detail
+
+
+def pending_walk(x, tree, filters):
+    """Reference walk: a stack of pending siblings, each split filtering
+    both children at once with uwpd_step into fresh arrays."""
+    leaves = {(leaf.level, leaf.position) for leaf in tree.leaves}
+    pending = [((0, 0), x)]
+    while pending:
+        (level, position), coeffs = pending.pop()
+        yield (level, position), coeffs
+        if (level, position) not in leaves:
+            approx, detail = uwpd_step(coeffs, filters, level + 1)
+            if position % 2 == 1:
+                approx, detail = detail, approx
+            lo, hi = (level + 1, 2 * position), (level + 1, 2 * position + 1)
+            pending += [(hi, detail), (lo, approx)]
 
 
 class TestDb4Filters:
@@ -93,31 +114,36 @@ class TestUwpdStep:
         assert np.array_equal(np.roll(a1, 21), a2)
         assert np.array_equal(np.roll(d1, 21), d2)
 
-    @pytest.mark.parametrize("n", [64, 65, 100, 4097])
+    @pytest.mark.parametrize("n", [*range(1, 21), 64, 65, 100, 113, 4097, 32769])
     def test_equals_roll_reference(self, filters, n):
-        # at level 5 the tap shifts reach 112, beyond n = 64, 65 and 100
+        # at level 5 the tap shifts reach 112, beyond n = 64, 65 and 100;
+        # the first 7 * 2**(level-1) outputs wrap past index 0, and at
+        # n <= 113 they can be all of them; 32769 spans two column blocks
+        # of three rows
         rng = np.random.default_rng(n)
-        x = rng.standard_normal((2, n))
+        wide = rng.standard_normal((3, 3 * n))
+        x = np.ascontiguousarray(wide[:, :n])
+        layouts = (x[0], x[:2], x, wide[:, ::3], np.asfortranarray(x))
         for level in range(1, 6):
-            stacked = uwpd_step(x, filters, level)
-            for row in range(2):
-                expected = roll_step(x[row], filters, level)
-                single = uwpd_step(x[row], filters, level)
-                for got, want in zip(single, expected):
-                    assert np.array_equal(got, want)
-                for got, want in zip(stacked, expected):
-                    assert np.array_equal(got[row], want)
+            for data in layouts:
+                got, want = uwpd_step(data, filters, level), roll_step(data, filters, level)
+                for g, w in zip(got, want):
+                    assert g.shape == data.shape
+                    assert g.tobytes() == w.tobytes()
 
     def test_first_tap_adds_to_positive_zero(self, filters):
-        # every level-1 approx product of output 7 is -0.0; a zero-filled
-        # sum reads +0.0 there, a first tap stored as is would read -0.0
-        x = np.zeros(16)
-        x[7 - np.arange(8)] = np.where(filters.h > 0, -0.0, 0.0)
-        assert all(np.signbit(filters.h * x[7 - np.arange(8)]))
-        got, want = uwpd_step(x, filters, 1), roll_step(x, filters, 1)
-        assert not np.signbit(want[0][7])
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
+        # every level-1 approx product of output i is -0.0; a zero-filled
+        # sum reads +0.0 there, a first tap stored as is would read -0.0.
+        # Output 0 wraps past index 0, output 7 does not.
+        for i in (0, 7):
+            x = np.zeros(16)
+            reads = (i - np.arange(8)) % 16
+            x[reads] = np.where(filters.h > 0, -0.0, 0.0)
+            assert all(np.signbit(filters.h * x[reads]))
+            got, want = uwpd_step(x, filters, 1), roll_step(x, filters, 1)
+            assert not np.signbit(want[0][i])
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("level", range(1, 6))
     def test_wrap_across_column_blocks_matches_roll_bytes(self, filters, level):
@@ -239,8 +265,37 @@ class TestDecompose:
                 assert np.array_equal(coeffs[row], singles[row][node])
         assert sorted(seen) == tree.nodes()
 
-    def test_walk_reuses_seven_buffers(self, tree, filters):
+    def test_walk_reuses_five_buffers(self, tree, filters):
+        # only the current path is alive: one buffer per level below the root
         x = np.random.default_rng(5).standard_normal((2, 300))
         blocks = [coeffs.ctypes.data for _, coeffs in walk(x, tree, filters)]
         assert blocks[0] == x.ctypes.data
-        assert len(blocks) == 33 and len(set(blocks[1:])) == 7
+        assert len(blocks) == 33 and len(set(blocks[1:])) == 5
+
+    @pytest.mark.parametrize("n", [64, 700, 4097, 100003])
+    def test_walk_matches_pending_sibling_walk(self, tree, filters, n):
+        x = np.random.default_rng(n).standard_normal((2, n))
+        pairs = itertools.zip_longest(walk(x, tree, filters), pending_walk(x, tree, filters))
+        for (node, coeffs), (want_node, want) in pairs:
+            assert node == want_node
+            assert coeffs.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stop", [None, 1, 6, 20])
+    def test_walk_holds_no_buffers_once_done(self, tree, filters, stop):
+        # with the collector off, a reference cycle would keep the walk's
+        # buffers (five of 1 MiB) after it is consumed or broken off
+        x = np.random.default_rng(6).standard_normal((2, 65536))
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            nodes = walk(x, tree, filters)
+            collections.deque(itertools.islice(nodes, stop), maxlen=0)
+            del nodes
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert held < x.nbytes

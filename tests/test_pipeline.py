@@ -228,8 +228,8 @@ class TestStreamedSelection:
 
     def test_peak_memory_is_bounded(self):
         # every node of both channels alive at once would be 33 blocks of
-        # 2N floats; the input, the kept subband and the walk's seven
-        # recycled buffers make about 9.3
+        # 2N floats; the input, the kept subband and the walk's five
+        # recycled buffers make about 6.3
         n = 65536
         rng = np.random.default_rng(0)
         s1, s2 = (Signal(rng.laplace(size=n), 8000) for _ in range(2))
@@ -240,7 +240,7 @@ class TestStreamedSelection:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 2 * n * 8
+        assert peak < 8 * 2 * n * 8
 
 
 class TestBaselines:
