@@ -6,9 +6,13 @@ combinations x_i(t) = sum_j a[i][j] * s_j(t) of two equal-length sources.
 
 from __future__ import annotations
 
+import os
+import tempfile
 import wave
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 
@@ -109,17 +113,31 @@ def read_wav(path) -> Signal:
     return Signal(samples / _PCM_FULL_SCALE, rate)
 
 
-def write_wav(signal: Signal, path) -> None:
-    """Write a Signal as mono 16-bit PCM WAV to a path or a binary file.
+@contextmanager
+def atomic_file(path):
+    """A binary handle on a temporary file beside path (parents are made),
+    renamed onto path once the block completes and removed if it fails."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            yield handle
+        os.replace(tmp_name, path)
+    except BaseException:
+        if os.path.exists(tmp_name):
+            os.unlink(tmp_name)
+        raise
 
-    Values outside [-1, 1) are clipped; quantization is round-to-nearest.
+
+def write_wav(signal: Signal, path) -> None:
+    """Write a Signal to a path as mono 16-bit PCM WAV, atomically (see
+    atomic_file). Values outside [-1, 1) are clipped; quantization is
+    round-to-nearest.
     """
-    if not hasattr(path, "write"):
-        with open(path, "wb") as raw:
-            return write_wav(signal, raw)
     scaled = np.rint(signal.samples * _PCM_FULL_SCALE)
     quantized = np.clip(scaled, -32768, 32767).astype("<i2")
-    with wave.open(path, "wb") as handle:
+    with atomic_file(path) as raw, wave.open(raw, "wb") as handle:
         handle.setnchannels(1)
         handle.setsampwidth(2)
         handle.setframerate(signal.sample_rate_hz)

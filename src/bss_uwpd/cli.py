@@ -18,19 +18,18 @@ falls back to the BSS_UWPD_SEED environment variable, then 42.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from .audio_io import MixingMatrix, Signal, decimate_to_8k, mix, read_wav, write_wav
+from .audio_io import (MixingMatrix, Signal, atomic_file, decimate_to_8k, mix, read_wav,
+                       write_wav)
 from .errors import BssError, DegenerateInputError, ParameterError
 from .metrics import evaluate_pair
-from .pipeline import METHODS, SeparationResult, separate
+from .pipeline import METHODS, separate
 from .separators import DEFAULT_SOBI_LAGS, IcaOptions, check_lags
 
 MIX_PEAK = 0.9
@@ -38,44 +37,34 @@ MIX_PEAK = 0.9
 METRIC_COLUMNS = ("SIR", "SDR", "segSNR", "overallSNR")
 
 
-def _atomic_write_bytes(path: Path, data: bytes):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
-
-
-def _atomic_write_text(path: Path, text: str):
-    _atomic_write_bytes(path, text.encode())
-
-
-def _atomic_write_wav(signal: Signal, path: Path):
-    buffer = io.BytesIO()
-    write_wav(signal, buffer)
-    _atomic_write_bytes(path, buffer.getvalue())
-
-
-def _write_mixtures(out: Path, matrix, scale, mixtures, source_paths, **extra):
-    """mix1.wav, mix2.wav and mix_manifest.json, with extra manifest keys."""
+def _mix(out: Path, source_paths, matrix: MixingMatrix, **extra):
+    """Decimate two mono WAVs to 8 kHz, cut them to one length, mix them and
+    scale the pair to peak at MIX_PEAK; write mix1.wav, mix2.wav and
+    mix_manifest.json (with extra manifest keys) only once every input has
+    been checked. Returns the decimated sources."""
+    sources = [decimate_to_8k(read_wav(path)) for path in source_paths]
+    n = min(len(s) for s in sources)
+    sources = [Signal(s.samples[:n], s.sample_rate_hz) for s in sources]
+    mixtures = mix(sources, matrix)
+    peak = max(np.max(np.abs(x.samples)) for x in mixtures)
+    if peak <= 0.0:
+        raise DegenerateInputError("mixtures are silent; nothing to write")
+    scale = MIX_PEAK / peak
     names = ["mix1.wav", "mix2.wav"]
     for mixture, name in zip(mixtures, names):
-        _atomic_write_wav(mixture, out / name)
+        write_wav(Signal(mixture.samples * scale, mixture.sample_rate_hz), out / name)
     manifest = {
         "matrix": [list(row) for row in matrix.entries.tolist()],
         "scale": scale,
         "sample_rate_hz": mixtures[0].sample_rate_hz,
-        "n_samples": len(mixtures[0]),
+        "n_samples": n,
         "sources": [Path(p).name for p in source_paths],
         "mixtures": names,
         **extra,
     }
-    _atomic_write_text(out / "mix_manifest.json", json.dumps(manifest, indent=2) + "\n")
+    with atomic_file(out / "mix_manifest.json") as handle:
+        handle.write((json.dumps(manifest, indent=2) + "\n").encode())
+    return sources
 
 
 def _parse_matrix(text: str) -> MixingMatrix:
@@ -98,29 +87,6 @@ def _parse_lags(text: str):
         raise argparse.ArgumentTypeError(f"needs e.g. 1-20 or 1,2,5, got {text!r}") from None
 
 
-def _load_mixture_inputs(paths):
-    signals = []
-    for path in paths:
-        if not Path(path).exists():
-            raise OSError(f"input file not found: {path}")
-        signals.append(decimate_to_8k(read_wav(path)))
-    n = min(len(s) for s in signals)
-    return [Signal(s.samples[:n], s.sample_rate_hz) for s in signals]
-
-
-def _make_mixtures(sources, matrix: MixingMatrix):
-    x1, x2 = mix(sources, matrix)
-    peak = max(np.max(np.abs(x1.samples)), np.max(np.abs(x2.samples)))
-    if peak <= 0.0:
-        raise DegenerateInputError("mixtures are silent; nothing to write")
-    scale = MIX_PEAK / peak
-    return (
-        Signal(x1.samples * scale, x1.sample_rate_hz),
-        Signal(x2.samples * scale, x2.sample_rate_hz),
-        scale,
-    )
-
-
 def _ica_options(args) -> IcaOptions:
     """Fit options; without --seed the seed is BSS_UWPD_SEED, then 42."""
     seed = args.seed
@@ -138,33 +104,29 @@ def _ica_options(args) -> IcaOptions:
     )
 
 
-def _run_method(name: str, mixtures, opts: IcaOptions, lags) -> SeparationResult:
-    """Separate with one method; a fit that did not converge is warned
-    about on stderr, never in the artifacts."""
-    result = separate(mixtures[0], mixtures[1], name, opts, lags)
-    if not result.model.converged:
-        print(f"warning: {name} did not converge in {result.model.iterations} iterations",
+def _separate_wavs(out: Path, mix_paths, method: str, opts: IcaOptions, lags) -> dict:
+    """Separate a mixture WAV pair with one method and write its two
+    estimates as WAVs peaking at MIX_PEAK; returns its run record. A fit
+    that did not converge is warned about on stderr, never in the artifacts."""
+    result = separate(*(read_wav(path) for path in mix_paths), method, opts, lags)
+    model = result.model
+    if not model.converged:
+        print(f"warning: {method} did not converge in {model.iterations} iterations",
               file=sys.stderr)
-    return result
-
-
-def _write_estimates(out: Path, name: str, result: SeparationResult, seed: int):
-    """Write a method's two estimates as WAVs peaking at MIX_PEAK; returns
-    its run record."""
-    names = [f"est_{name}_1.wav", f"est_{name}_2.wav"]
-    for estimate, est_name in zip(result.estimates, names):
+    names = [f"est_{method}_1.wav", f"est_{method}_2.wav"]
+    for estimate, name in zip(result.estimates, names):
+        # each estimate has unit variance, so its peak is at least 1
         peak = np.max(np.abs(estimate.samples))
-        if peak > 0.0:
-            estimate = Signal(estimate.samples * (MIX_PEAK / peak), estimate.sample_rate_hz)
-        _atomic_write_wav(estimate, out / est_name)
+        write_wav(Signal(estimate.samples * (MIX_PEAK / peak), estimate.sample_rate_hz),
+                  out / name)
     return {
         "command": "separate",
-        "method": name,
-        "seed": seed,
+        "method": method,
+        "seed": opts.seed,
         "selected_node": list(result.selected_node) if result.selected_node else None,
-        "iterations": result.model.iterations,
-        "converged": result.model.converged,
-        "ill_conditioned": result.model.ill_conditioned,
+        "iterations": model.iterations,
+        "converged": model.converged,
+        "ill_conditioned": model.ill_conditioned,
         "estimates": names,
     }
 
@@ -217,23 +179,19 @@ def _jsonl(rows) -> str:
 
 def cmd_mix(args) -> int:
     out = Path(args.out)
-    matrix = _parse_matrix(args.matrix)
-    sources = _load_mixture_inputs([args.source1, args.source2])
-    mix1, mix2, scale = _make_mixtures(sources, matrix)
-    _write_mixtures(out, matrix, scale, (mix1, mix2), (args.source1, args.source2))
+    _mix(out, (args.source1, args.source2), _parse_matrix(args.matrix))
     print(f"wrote mix1.wav, mix2.wav, mix_manifest.json to {out}")
     return 0
 
 
 def cmd_separate(args) -> int:
     out = Path(args.out)
-    opts = _ica_options(args)
-    mixtures = [read_wav(args.mix1), read_wav(args.mix2)]
-    result = _run_method(args.method, mixtures, opts, args.lags)
-    record = _write_estimates(out, args.method, result, opts.seed)
+    record = _separate_wavs(out, (args.mix1, args.mix2), args.method,
+                            _ica_options(args), args.lags)
     records_path = out / "runs.jsonl"
     existing = records_path.read_text() if records_path.exists() else ""
-    _atomic_write_text(records_path, existing + _jsonl([record]))
+    with atomic_file(records_path) as handle:
+        handle.write((existing + _jsonl([record])).encode())
     print(f"wrote {', '.join(record['estimates'])} and run record to {out}")
     return 0
 
@@ -243,11 +201,15 @@ def cmd_evaluate(args) -> int:
     rows = _score(args.method_label, [args.estimate1, args.estimate2], references)
     print(_format_table(rows))
     if args.json:
-        _atomic_write_text(Path(args.json), _jsonl(rows))
+        with atomic_file(args.json) as handle:
+            handle.write(_jsonl(rows).encode())
     return 0
 
 
 def cmd_experiment(args) -> int:
+    """mix, then separate with each method, then evaluate each estimate
+    pair against the written references: the same bodies as the three
+    commands, so every artifact can be rebuilt by running them in turn."""
     out = Path(args.out)
     source_paths = (args.source1, args.source2)
     matrix = _parse_matrix(args.matrix)
@@ -260,46 +222,30 @@ def cmd_experiment(args) -> int:
     if len(set(map(str, source_paths))) != 2:
         raise ParameterError("source paths must be two distinct files")
     opts = _ica_options(args)
-    references = _load_mixture_inputs(source_paths)
-    mix1, mix2, scale = _make_mixtures(references, matrix)
+    ref_names = ["ref1.wav", "ref2.wav"]
+    sources = _mix(out, source_paths, matrix,
+                   seed=opts.seed, methods=methods, references=ref_names)
+    for source, ref_name in zip(sources, ref_names):
+        write_wav(source, out / ref_name)
 
-    results = {}
-    failures = {}
+    references = [read_wav(out / ref_name) for ref_name in ref_names]
+    records, table_rows, failures = [], [], []
     for name in methods:
         try:
-            results[name] = _run_method(name, (mix1, mix2), opts, args.lags)
+            record = _separate_wavs(out, (out / "mix1.wav", out / "mix2.wav"),
+                                    name, opts, args.lags)
         except BssError as exc:
-            failures[name] = str(exc)
-
-    # all computation done; emit artifacts, then score from the files so
-    # every table cell is reproducible from the written WAVs alone
-    ref_names = ["ref1.wav", "ref2.wav"]
-    for reference, ref_name in zip(references, ref_names):
-        _atomic_write_wav(reference, out / ref_name)
-    _write_mixtures(
-        out, matrix, scale, (mix1, mix2), source_paths,
-        seed=opts.seed, methods=methods, references=ref_names,
-    )
-
-    ref_signals = [read_wav(out / ref_name) for ref_name in ref_names]
-    records = []
-    table_rows = []
-    for name, result in results.items():
-        record = _write_estimates(out, name, result, opts.seed)
+            failures.append(f"FAILED {name}: {exc}")
+            continue
         records.append(record)
-        table_rows += _score(name, [out / est for est in record["estimates"]], ref_signals)
-    _atomic_write_text(out / "runs.jsonl", _jsonl(records))
-
-    table = _format_table(table_rows)
-    report_lines = [table]
-    for name, message in failures.items():
-        report_lines.append(f"FAILED {name}: {message}")
-    _atomic_write_text(out / "report.txt", "\n".join(report_lines) + "\n")
-    _atomic_write_text(out / "report.jsonl", _jsonl(table_rows))
-    print("\n".join(report_lines))
-    if failures:
-        return 1
-    return 0
+        table_rows += _score(name, [out / est for est in record["estimates"]], references)
+    report = "\n".join([_format_table(table_rows), *failures])
+    for name, text in (("runs.jsonl", _jsonl(records)), ("report.txt", report + "\n"),
+                       ("report.jsonl", _jsonl(table_rows))):
+        with atomic_file(out / name) as handle:
+            handle.write(text.encode())
+    print(report)
+    return 1 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

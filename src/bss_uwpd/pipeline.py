@@ -80,7 +80,7 @@ def _select_subband(x, tree):
     kept = x
     scores = (NodeScore(node, *row_kurtosis(coeffs).tolist(), coeffs=coeffs)
               for node, coeffs in walk(x, tree, db4_filters()))
-    for best in running_best(scores, tree.fs_hz):
+    for best in running_best(scores):
         if best.coeffs is not x:
             if kept is x:
                 kept = np.empty_like(x)

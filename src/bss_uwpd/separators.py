@@ -9,7 +9,7 @@ closed-form Givens rotation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -61,10 +61,12 @@ class IcaOptions:
             raise ParameterError(
                 f"contrast must be one of {sorted(_CONTRASTS)}, got {self.contrast!r}"
             )
-        if not 0.0 < self.tolerance < np.inf:
-            raise ParameterError(f"tolerance must be finite and > 0, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ParameterError("max_iterations must be >= 1")
+        if not (isinstance(self.tolerance, Real) and 0.0 < self.tolerance < np.inf):
+            raise ParameterError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
+        if not isinstance(self.max_iterations, Integral) or self.max_iterations < 1:
+            raise ParameterError(
+                f"max_iterations must be an integer >= 1, got {self.max_iterations!r}"
+            )
         if not isinstance(self.seed, Integral) or self.seed < 0:
             raise ParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
 
@@ -199,11 +201,11 @@ def _lagged_covariances(z, lags) -> np.ndarray:
 
 
 def check_lags(lags) -> tuple:
-    """SOBI lags as a tuple of ints: at least one, each >= 1."""
-    lags = tuple(int(lag) for lag in lags)
-    if not lags or min(lags) < 1:
+    """SOBI lags as a tuple of ints: at least one, each an integer >= 1."""
+    lags = tuple(lags)
+    if not lags or not all(isinstance(lag, Integral) and lag >= 1 for lag in lags):
         raise ParameterError(f"lags must be one or more integers >= 1, got {lags}")
-    return lags
+    return tuple(int(lag) for lag in lags)
 
 
 def sobi(x, lags=DEFAULT_SOBI_LAGS) -> UnmixingModel:

@@ -19,8 +19,8 @@ from .errors import (
     ParameterError,
     SelectionError,
     SingularDataError,
+    UnsupportedRateError,
 )
-from .filterbank import CbTree
 
 # Columns per block of a pass over (2, N) data: a block of a pair is 512 KiB,
 # so it stays in L2 while every product that reads it is formed. The width
@@ -106,17 +106,18 @@ def score_nodes(coeffs_ch1, coeffs_ch2):
     ]
 
 
-def running_best(scores, fs_hz: int = PIPELINE_RATE_HZ):
+def running_best(scores):
     """Yield each score that ranks above every score before it, ranking by
     the combined (min-over-channels) kurtosis, highest first; ties go to the
-    lower band, then the shallower node. Nodes without finite scores on both
-    channels are skipped. scores may be any iterable and is drawn lazily, so
-    a caller can keep a leader's coeffs before the next score is made.
-    Raises SelectionError once scores is exhausted if nothing was yielded."""
-    band = CbTree(fs_hz, ()).band
+    lower band (position / 2**level, its low edge over Fs/2), then the
+    shallower node. Nodes without finite scores on both channels are
+    skipped. scores may be any iterable and is drawn lazily, so a caller can
+    keep a leader's coeffs before the next score is made. Raises
+    SelectionError once scores is exhausted if nothing was yielded."""
 
     def rank(s):
-        return -s.combined, band(*s.node)[0], s.node[0]
+        level, position = s.node
+        return -s.combined, position / 2**level, level
 
     best = None
     for s in scores:
@@ -128,8 +129,11 @@ def running_best(scores, fs_hz: int = PIPELINE_RATE_HZ):
 
 
 def select_best_node(scores, fs_hz: int = PIPELINE_RATE_HZ) -> NodeScore:
-    """The last score running_best yields: the best node of the iterable."""
-    for best in running_best(scores, fs_hz):
+    """The last score running_best yields: the best node of the iterable,
+    for scores of a tree at fs_hz, which must be 8000 Hz."""
+    if fs_hz != PIPELINE_RATE_HZ:
+        raise UnsupportedRateError(f"node scores are of an 8000 Hz tree, got fs = {fs_hz}")
+    for best in running_best(scores):
         pass
     return best
 

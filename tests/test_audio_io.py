@@ -120,6 +120,20 @@ class TestWriteWav:
         with pytest.raises(OSError):
             write_wav(Signal([0.0], 8000), tmp_path)
 
+    def test_failed_write_leaves_old_file_and_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "sub" / "a.wav"  # the missing parent is made
+        write_wav(Signal([0.5], 8000), path)
+        before = path.read_bytes()
+
+        def fail(handle, data):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(wave.Wave_write, "writeframes", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_wav(Signal([0.25], 8000), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == ["a.wav"]
+
 
 class TestDecimate:
     def test_identity_at_8k(self):

@@ -17,6 +17,7 @@ from bss_uwpd import (
     write_wav,
 )
 from bss_uwpd.cli import _parse_lags, _parse_matrix, main
+from bss_uwpd.separators import check_lags
 
 from helpers import speechlike_pair
 
@@ -114,6 +115,11 @@ class TestSeparate:
         for text in ("0", "5-1", "1,-3"):
             with pytest.raises(argparse.ArgumentTypeError, match="lags must be"):
                 _parse_lags(text)
+        # the library rule takes integers only, never truncating or splitting
+        for lags in ((1.5, 2), "12", (1, 2.0)):
+            with pytest.raises(ParameterError, match="lags must be"):
+                check_lags(lags)
+        assert check_lags((np.int64(3), 1)) == (3, 1)
         with pytest.raises(SystemExit) as exit_info:
             main(["separate", str(mixture_dir / "mix1.wav"),
                   str(mixture_dir / "mix2.wav"), "--method", "sobi",
@@ -250,6 +256,43 @@ class TestExperiment:
             assert abs(row["SDR"] - source.sdr_db) < 1e-12
             assert abs(row["segSNR"] - source.seg_snr_db) < 1e-12
             assert abs(row["overallSNR"] - source.overall_snr_db) < 1e-12
+
+    def test_equals_the_three_commands_run_in_turn(self, tmp_path):
+        # 16 kHz sources, so the references and mixtures are decimated
+        s1, s2 = speechlike_pair(16384, seed=7)
+        wavs = [tmp_path / "a.wav", tmp_path / "b.wav"]
+        for source, path in zip((s1, s2), wavs):
+            peak = np.max(np.abs(source.samples))
+            write_wav(Signal(0.3 * np.repeat(source.samples, 2) / peak, 16000), path)
+        exp, hand = tmp_path / "exp", tmp_path / "hand"
+        assert main(["experiment", *map(str, wavs), "--out", str(exp), "--seed", "42"]) == 0
+        assert main(["mix", *map(str, wavs), "--out", str(hand)]) == 0
+        rows = ""
+        for method in ("proposed", "fastica", "sobi"):
+            assert main(["separate", str(hand / "mix1.wav"), str(hand / "mix2.wav"),
+                         "--method", method, "--out", str(hand), "--seed", "42"]) == 0
+            ests = [str(hand / f"est_{method}_{k}.wav") for k in (1, 2)]
+            refs = [str(exp / "ref1.wav"), str(exp / "ref2.wav")]
+            assert main(["evaluate", *ests, *refs, "--json", str(tmp_path / "rows.jsonl"),
+                         "--method-label", method]) == 0
+            rows += (tmp_path / "rows.jsonl").read_text()
+            for name in ests:
+                assert (exp / Path(name).name).read_bytes() == Path(name).read_bytes(), name
+        for name in ("mix1.wav", "mix2.wav", "runs.jsonl"):
+            assert (exp / name).read_bytes() == (hand / name).read_bytes(), name
+        assert (exp / "report.jsonl").read_text() == rows
+
+    def test_failed_method_is_reported_and_exits_1(self, tmp_path, speech_wavs, capsys):
+        # no lagged covariance exists at a lag past the 8192-sample pair
+        out = tmp_path / "exp"
+        code = main(["experiment", *map(str, speech_wavs), "--lags", "9000",
+                     "--out", str(out), "--seed", "4"])
+        assert code == 1
+        assert "FAILED sobi: " in (out / "report.txt").read_text()
+        records = [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()]
+        assert [r["method"] for r in records] == ["proposed", "fastica"]
+        assert not (out / "est_sobi_1.wav").exists()
+        assert "FAILED sobi" in capsys.readouterr().out
 
     def test_seed_env_fallback(self, tmp_path, speech_wavs, monkeypatch):
         monkeypatch.setenv("BSS_UWPD_SEED", "123")

@@ -86,11 +86,12 @@ class TestFastIca:
     def test_bad_options(self):
         with pytest.raises(ParameterError):
             IcaOptions(contrast="sigmoid")
-        for tolerance in (0.0, float("nan"), float("inf")):
+        for tolerance in (0.0, float("nan"), float("inf"), "1e-3", None):
             with pytest.raises(ParameterError):
                 IcaOptions(tolerance=tolerance)
-        with pytest.raises(ParameterError):
-            IcaOptions(max_iterations=0)
+        for max_iterations in (0, 2.5, "200"):
+            with pytest.raises(ParameterError):
+                IcaOptions(max_iterations=max_iterations)
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_seed_must_be_non_negative_integer(self, seed):

@@ -11,6 +11,7 @@ from bss_uwpd import (
     ParameterError,
     SelectionError,
     SingularDataError,
+    UnsupportedRateError,
     fit_whitening,
     kurtosis,
     score_nodes,
@@ -127,6 +128,11 @@ class TestNodeSelection:
         y = rng.laplace(size=1024)
         scores = _score_map({(5, 1): (y, y), (5, 0): (y, y)})
         assert select_best_node(scores).node == (5, 0)
+        # the rank needs no sample rate, and only the tree's 8000 Hz is taken
+        assert select_best_node(scores, 8000).node == (5, 0)
+        for fs_hz in (-8000, 16000):
+            with pytest.raises(UnsupportedRateError):
+                select_best_node(scores, fs_hz)
 
     def test_tie_breaks_toward_shallower_node(self):
         rng = np.random.default_rng(7)
