@@ -7,7 +7,6 @@ combinations x_i(t) = sum_j a[i][j] * s_j(t) of two equal-length sources.
 from __future__ import annotations
 
 import os
-import tempfile
 import wave
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -115,11 +114,13 @@ def read_wav(path) -> Signal:
 
 @contextmanager
 def atomic_file(path):
-    """A binary handle on a temporary file beside path (parents are made),
-    renamed onto path once the block completes and removed if it fails."""
+    """A binary handle on a new temporary file beside path (parents are
+    made, the mode is the umask's), renamed onto path once the block
+    completes and removed if it fails."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    tmp_name = f"{path}.{os.urandom(6).hex()}"
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             yield handle

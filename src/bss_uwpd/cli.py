@@ -18,6 +18,7 @@ falls back to the BSS_UWPD_SEED environment variable, then 42.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -189,9 +190,9 @@ def cmd_separate(args) -> int:
     record = _separate_wavs(out, (args.mix1, args.mix2), args.method,
                             _ica_options(args), args.lags)
     records_path = out / "runs.jsonl"
-    existing = records_path.read_text() if records_path.exists() else ""
+    existing = records_path.read_bytes() if records_path.exists() else b""
     with atomic_file(records_path) as handle:
-        handle.write((existing + _jsonl([record])).encode())
+        handle.write(existing + _jsonl([record]).encode())
     print(f"wrote {', '.join(record['estimates'])} and run record to {out}")
     return 0
 
@@ -248,6 +249,7 @@ def cmd_experiment(args) -> int:
     return 1 if failures else 0
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bss-uwpd",

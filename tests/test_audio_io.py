@@ -135,6 +135,17 @@ class TestWriteWav:
         assert [p.name for p in path.parent.iterdir()] == ["a.wav"]
 
 
+    def test_file_mode_follows_umask(self, tmp_path):
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            path = tmp_path / f"umask{umask:03o}.wav"
+            old = os.umask(umask)
+            try:
+                write_wav(Signal([0.5], 8000), path)
+            finally:
+                os.umask(old)
+            assert path.stat().st_mode & 0o777 == mode
+
+
 class TestDecimate:
     def test_identity_at_8k(self):
         signal = synth_source("gaussian", 100, seed=0)

@@ -185,6 +185,21 @@ class TestSeparate:
             assert (outs[0] / est).read_bytes() == (outs[1] / est).read_bytes()
 
 
+    def test_non_utf8_run_record_file_is_appended_to(self, tmp_path, mixture_dir):
+        out = tmp_path / "sep"
+        out.mkdir()
+        old = b"\xff\xfe not a record\n"
+        (out / "runs.jsonl").write_bytes(old)
+        code = main(["separate", str(mixture_dir / "mix1.wav"),
+                     str(mixture_dir / "mix2.wav"), "--method", "sobi", "--out", str(out)])
+        assert code == 0
+        data = (out / "runs.jsonl").read_bytes()
+        assert data.startswith(old)
+        added = data[len(old):].decode().splitlines()
+        assert len(added) == 1
+        assert json.loads(added[0])["method"] == "sobi"
+
+
 class TestEvaluate:
     def test_perfect_estimates_hit_caps(self, tmp_path, speech_wavs, capsys):
         json_path = tmp_path / "rows.jsonl"
@@ -414,3 +429,53 @@ class TestExperiment:
         for row in rows:
             if row["source"] != "Average":
                 assert row["SIR"] > 30.0
+
+
+class TestParserReuse:
+    @staticmethod
+    def _refuse_new_parsers(monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a second parser was built")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+
+    def test_later_calls_build_no_parser(self, tmp_path, speech_wavs, monkeypatch):
+        main(["mix", str(speech_wavs[0]), str(speech_wavs[1]), "--out", str(tmp_path / "mix")])
+        self._refuse_new_parsers(monkeypatch)
+        paths = [str(p) for p in speech_wavs]
+        assert main(["evaluate", *paths, *paths]) == 0
+
+    @pytest.mark.parametrize("method", ["fastica", "sobi"])
+    def test_options_do_not_leak_into_later_calls(self, tmp_path, mixture_dir, monkeypatch,
+                                                  method):
+        monkeypatch.delenv("BSS_UWPD_SEED", raising=False)
+        mixes = [str(mixture_dir / "mix1.wav"), str(mixture_dir / "mix2.wav")]
+        options = ([], ["--seed", "7", "--contrast", "cube", "--lags", "1-5"], [])
+        outs = [tmp_path / f"sep{k}" for k in range(3)]
+        for out, extra in zip(outs, options):
+            assert main(["separate", *mixes, "--method", method, "--out", str(out),
+                         *extra]) == 0
+        for name in (f"est_{method}_1.wav", f"est_{method}_2.wav", "runs.jsonl"):
+            assert (outs[0] / name).read_bytes() == (outs[2] / name).read_bytes()
+        assert (outs[0] / f"est_{method}_1.wav").read_bytes() != (
+            outs[1] / f"est_{method}_1.wav").read_bytes()
+        for out, seed in zip(outs, (42, 7, 42)):
+            assert json.loads((out / "runs.jsonl").read_text())["seed"] == seed
+
+    def test_usage_error_and_help_leave_the_parser_working(self, tmp_path, mixture_dir,
+                                                           monkeypatch, capsys):
+        mixes = [str(mixture_dir / "mix1.wav"), str(mixture_dir / "mix2.wav")]
+        out = tmp_path / "sep"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["separate", *mixes, "--method", "nope", "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+        for argv in (["--help"], ["separate", "--help"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 0
+            assert "usage: bss-uwpd" in capsys.readouterr().out
+        assert not out.exists()
+        self._refuse_new_parsers(monkeypatch)
+        assert main(["separate", *mixes, "--method", "sobi", "--out", str(out)]) == 0
+        assert json.loads((out / "runs.jsonl").read_text())["method"] == "sobi"
