@@ -14,6 +14,7 @@ from .audio_io import (
     decimate_to_8k,
     mix,
     read_wav,
+    stack_pair,
     synth_source,
     write_wav,
 )
@@ -33,7 +34,6 @@ from .filterbank import (
     build_cb_tree,
     db4_filters,
     decompose_nodes,
-    uwpd_step,
     walk,
 )
 from .metrics import (
@@ -68,7 +68,6 @@ from .stats import (
     NodeScore,
     WhiteningModel,
     fit_whitening,
-    kurtosis,
     score_nodes,
     select_best_node,
 )

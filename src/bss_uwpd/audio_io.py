@@ -11,6 +11,7 @@ import wave
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ class Signal:
     """A uniformly sampled real-valued sequence.
 
     samples are stored as a read-only float64 array; sample_rate_hz is the
-    rate in Hz. At least one sample, all values finite.
+    rate in Hz, an integer > 0. At least one sample, all values finite.
     """
 
     samples: np.ndarray
@@ -53,8 +54,8 @@ class Signal:
             raise DimensionError("signal must hold at least one sample")
         if not np.all(np.isfinite(arr)):
             raise ParameterError("signal samples must be finite")
-        if self.sample_rate_hz <= 0:
-            raise ParameterError("sample rate must be positive")
+        if not isinstance(self.sample_rate_hz, Integral) or self.sample_rate_hz <= 0:
+            raise ParameterError(f"sample rate must be an integer > 0: {self.sample_rate_hz!r}")
         set_read_only(self, samples=arr)
         object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
 
@@ -64,7 +65,8 @@ class Signal:
 
 @dataclass(frozen=True)
 class MixingMatrix:
-    """An invertible 2x2 matrix of mixing gains."""
+    """An invertible 2x2 matrix of mixing gains: |det| exceeds 1e-12 times
+    its bound, the product of the row norms (Hadamard), at any scale."""
 
     entries: np.ndarray
 
@@ -74,7 +76,9 @@ class MixingMatrix:
             raise DimensionError("mixing matrix must be 2x2")
         if not np.all(np.isfinite(a)):
             raise ParameterError("mixing matrix entries must be finite")
-        if abs(np.linalg.det(a)) <= 1e-12:
+        # scaled by a power of two, exactly, so that neither side overflows
+        unit = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
+        if abs(np.linalg.det(unit)) <= 1e-12 * np.prod(np.linalg.norm(unit, axis=1)):
             raise ParameterError("mixing matrix is singular; sources unrecoverable")
         set_read_only(self, entries=a)
 
@@ -180,36 +184,30 @@ def decimate_to_8k(signal: Signal) -> Signal:
     return Signal(filtered[::factor], PIPELINE_RATE_HZ)
 
 
-def mix(sources, a: MixingMatrix):
-    """Form two instantaneous mixtures x = A s from two sources.
-
-    Returns two Signals with the sources' rate. Sources must agree in
-    length and rate.
-    """
-    s1, s2 = sources
-    if len(s1) != len(s2):
-        raise DimensionError(
-            f"source lengths differ: {len(s1)} vs {len(s2)}"
-        )
+def stack_pair(signals):
+    """The samples of two Signals as (2, N) data, and their rate. Raises
+    UnsupportedRateError if the rates differ, DimensionError if the lengths do."""
+    s1, s2 = signals
     if s1.sample_rate_hz != s2.sample_rate_hz:
-        raise DimensionError(
-            f"source rates differ: {s1.sample_rate_hz} vs {s2.sample_rate_hz}"
+        raise UnsupportedRateError(
+            f"signal rates differ: {s1.sample_rate_hz} vs {s2.sample_rate_hz} Hz"
         )
-    stacked = np.vstack([s1.samples, s2.samples])
+    if len(s1) != len(s2):
+        raise DimensionError(f"signal lengths differ: {len(s1)} vs {len(s2)}")
+    return np.vstack([s1.samples, s2.samples]), s1.sample_rate_hz
+
+
+def mix(sources, a: MixingMatrix):
+    """The two instantaneous mixtures x = A s of two sources of one length
+    and rate (see stack_pair), as Signals at the sources' rate."""
+    stacked, rate = stack_pair(sources)
     mixed = a.entries @ stacked
-    rate = s1.sample_rate_hz
     return Signal(mixed[0], rate), Signal(mixed[1], rate)
 
 
-def synth_source(
-    kind: str,
-    n: int,
-    seed: int,
-    pole: float = 0.9,
-    freq_hz: float = 440.0,
-    sample_rate_hz: int = PIPELINE_RATE_HZ,
-) -> Signal:
-    """Generate a deterministic unit-variance test source.
+def synth_source(kind: str, n: int, seed: int, pole: float = 0.9,
+                 freq_hz: float = 440.0) -> Signal:
+    """Generate a deterministic unit-variance test source at 8000 Hz.
 
     kind is one of "laplacian", "uniform", "gaussian", "ar1" (first-order
     autoregression with the given pole), or "sine" (given frequency with a
@@ -234,13 +232,13 @@ def synth_source(
         ar = accumulate(noise.tolist(), lambda y, v: pole * y + v, initial=0.0)
         samples = np.fromiter(ar, np.float64, n + burn_in + 1)[burn_in + 1 :]
     elif kind == "sine":
-        if not 0.0 < freq_hz < sample_rate_hz / 2:
+        if not 0.0 < freq_hz < PIPELINE_RATE_HZ / 2:
             raise ParameterError(
-                f"sine frequency must lie in (0, {sample_rate_hz / 2}) Hz, "
+                f"sine frequency must lie in (0, {PIPELINE_RATE_HZ / 2}) Hz, "
                 f"got {freq_hz}"
             )
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        t = np.arange(n) / sample_rate_hz
+        t = np.arange(n) / PIPELINE_RATE_HZ
         samples = np.sin(2.0 * np.pi * freq_hz * t + phase)
     else:
         raise ParameterError(f"unknown source kind: {kind!r}")
@@ -248,4 +246,4 @@ def synth_source(
     std = samples.std()
     if std > 0.0:
         samples = samples / std
-    return Signal(samples, sample_rate_hz)
+    return Signal(samples, PIPELINE_RATE_HZ)

@@ -12,7 +12,8 @@ Subcommands
 
 All artifacts are written atomically (temp file + rename) and contain no
 timestamps, so a fixed seed reproduces byte-identical outputs. The seed
-falls back to the BSS_UWPD_SEED environment variable, then 42.
+falls back to the BSS_UWPD_SEED environment variable, then 42. A command
+whose artifact path names one of its own input files writes nothing.
 """
 
 from __future__ import annotations
@@ -37,6 +38,16 @@ MIX_PEAK = 0.9
 
 METRIC_COLUMNS = ("SIR", "SDR", "segSNR", "overallSNR")
 
+MIX_ARTIFACTS = ("mix1.wav", "mix2.wav", "mix_manifest.json")
+
+
+def _keep_inputs(inputs, outputs):
+    """Raise ParameterError, before anything is written, if an output path
+    that exists is one of the input files (the same st_dev and st_ino)."""
+    for path in filter(os.path.exists, outputs):
+        if any(os.path.samefile(path, source) for source in inputs):
+            raise ParameterError(f"{path} is an input file; refusing to overwrite it")
+
 
 def _mix(out: Path, source_paths, matrix: MixingMatrix, **extra):
     """Decimate two mono WAVs to 8 kHz, cut them to one length, mix them and
@@ -51,7 +62,7 @@ def _mix(out: Path, source_paths, matrix: MixingMatrix, **extra):
     if peak <= 0.0:
         raise DegenerateInputError("mixtures are silent; nothing to write")
     scale = MIX_PEAK / peak
-    names = ["mix1.wav", "mix2.wav"]
+    names = list(MIX_ARTIFACTS[:2])
     for mixture, name in zip(mixtures, names):
         write_wav(Signal(mixture.samples * scale, mixture.sample_rate_hz), out / name)
     manifest = {
@@ -63,7 +74,7 @@ def _mix(out: Path, source_paths, matrix: MixingMatrix, **extra):
         "mixtures": names,
         **extra,
     }
-    with atomic_file(out / "mix_manifest.json") as handle:
+    with atomic_file(out / MIX_ARTIFACTS[2]) as handle:
         handle.write((json.dumps(manifest, indent=2) + "\n").encode())
     return sources
 
@@ -114,7 +125,7 @@ def _separate_wavs(out: Path, mix_paths, method: str, opts: IcaOptions, lags) ->
     if not model.converged:
         print(f"warning: {method} did not converge in {model.iterations} iterations",
               file=sys.stderr)
-    names = [f"est_{method}_1.wav", f"est_{method}_2.wav"]
+    names = [f"est_{method}_{k}.wav" for k in (1, 2)]
     for estimate, name in zip(result.estimates, names):
         # each estimate has unit variance, so its peak is at least 1
         peak = np.max(np.abs(estimate.samples))
@@ -180,16 +191,20 @@ def _jsonl(rows) -> str:
 
 def cmd_mix(args) -> int:
     out = Path(args.out)
-    _mix(out, (args.source1, args.source2), _parse_matrix(args.matrix))
+    source_paths = (args.source1, args.source2)
+    _keep_inputs(source_paths, [out / name for name in MIX_ARTIFACTS])
+    _mix(out, source_paths, _parse_matrix(args.matrix))
     print(f"wrote mix1.wav, mix2.wav, mix_manifest.json to {out}")
     return 0
 
 
 def cmd_separate(args) -> int:
     out = Path(args.out)
-    record = _separate_wavs(out, (args.mix1, args.mix2), args.method,
-                            _ica_options(args), args.lags)
+    mix_paths = (args.mix1, args.mix2)
     records_path = out / "runs.jsonl"
+    estimate_paths = [out / f"est_{args.method}_{k}.wav" for k in (1, 2)]
+    _keep_inputs(mix_paths, [records_path, *estimate_paths])
+    record = _separate_wavs(out, mix_paths, args.method, _ica_options(args), args.lags)
     existing = records_path.read_bytes() if records_path.exists() else b""
     with atomic_file(records_path) as handle:
         handle.write(existing + _jsonl([record]).encode())
@@ -198,8 +213,10 @@ def cmd_separate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    references = [read_wav(args.reference1), read_wav(args.reference2)]
-    rows = _score(args.method_label, [args.estimate1, args.estimate2], references)
+    inputs = [args.estimate1, args.estimate2, args.reference1, args.reference2]
+    _keep_inputs(inputs, [args.json] if args.json else [])
+    references = [read_wav(path) for path in inputs[2:]]
+    rows = _score(args.method_label, inputs[:2], references)
     print(_format_table(rows))
     if args.json:
         with atomic_file(args.json) as handle:
@@ -224,6 +241,10 @@ def cmd_experiment(args) -> int:
         raise ParameterError("source paths must be two distinct files")
     opts = _ica_options(args)
     ref_names = ["ref1.wav", "ref2.wav"]
+    report_names = ["runs.jsonl", "report.txt", "report.jsonl"]
+    estimate_names = [f"est_{name}_{k}.wav" for name in methods for k in (1, 2)]
+    _keep_inputs(source_paths, [out / name for name in (*MIX_ARTIFACTS, *ref_names,
+                                                         *report_names, *estimate_names)])
     sources = _mix(out, source_paths, matrix,
                    seed=opts.seed, methods=methods, references=ref_names)
     for source, ref_name in zip(sources, ref_names):
@@ -241,8 +262,8 @@ def cmd_experiment(args) -> int:
         records.append(record)
         table_rows += _score(name, [out / est for est in record["estimates"]], references)
     report = "\n".join([_format_table(table_rows), *failures])
-    for name, text in (("runs.jsonl", _jsonl(records)), ("report.txt", report + "\n"),
-                       ("report.jsonl", _jsonl(table_rows))):
+    texts = (_jsonl(records), report + "\n", _jsonl(table_rows))
+    for name, text in zip(report_names, texts):
         with atomic_file(out / name) as handle:
             handle.write(text.encode())
     print(report)

@@ -121,26 +121,14 @@ class CbTree:
 _BLOCK_ELEMENTS = 32768
 
 
-def uwpd_step(coeffs, filters: FilterPair, level: int):
-    """One undecimated analysis step on (..., N) data: circular convolution
-    along the last axis with the pair upsampled for the given level
-    (1-based). Returns (approx, detail), both of input shape. Taps are
-    accumulated in order, so the output equals the np.roll form bit for bit."""
-    c = np.asarray(coeffs, dtype=np.float64)
-    approx, detail = np.empty_like(c), np.empty_like(c)
-    _filter_into(c, filters.h, level, approx)
-    _filter_into(c, filters.g, level, detail)
-    return approx, detail
-
-
 def _filter_into(c, taps, level: int, out):
-    """One filter of uwpd_step written into out, which must not overlap c.
-    Output i is the sum over k of taps[k] * c[i - k * 2**(level-1)], each
-    product added in tap order to +0.0, as np.roll and += would do."""
+    """One undecimated filter step of (..., N) data c at a level (1-based),
+    written into out, which must not overlap c: circular convolution along
+    the last axis with the taps upsampled for the level. Output i is the sum
+    over k of taps[k] * c[i - k * 2**(level-1)], each product added in tap
+    order to +0.0, as np.roll and += would do."""
     if c.size == 0:
         raise DimensionError("cannot filter an empty sequence")
-    if level < 1:
-        raise ParameterError(f"level must be >= 1, got {level}")
     n, step, shift, last = c.shape[-1], c.strides[-1], 2 ** (level - 1), taps.size - 1
     # outputs left of head wrap past index 0 and read a small gathered copy,
     # one pass per tap: einsum would sum a one-column copy's contiguous tap

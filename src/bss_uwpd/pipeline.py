@@ -13,13 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .audio_io import PIPELINE_RATE_HZ, Signal
-from .errors import (
-    DegenerateInputError,
-    DimensionError,
-    ParameterError,
-    UnsupportedRateError,
-)
+from .audio_io import PIPELINE_RATE_HZ, Signal, stack_pair
+from .errors import DegenerateInputError, ParameterError, UnsupportedRateError
 from .filterbank import build_cb_tree, db4_filters, walk
 from .separators import (
     DEFAULT_SOBI_LAGS,
@@ -55,17 +50,12 @@ _PEAK_EXPONENTS = range(-63, 65)
 
 
 def _stack_pair(x1: Signal, x2: Signal):
-    """The checked pair as (2, N) data scaled by 2**-e, and e: 0 unless the
-    peak is out of range. A power of two scales exactly, and every method's
-    estimates are invariant to it."""
-    if x1.sample_rate_hz != PIPELINE_RATE_HZ or x2.sample_rate_hz != PIPELINE_RATE_HZ:
-        raise UnsupportedRateError(
-            f"pipeline runs at {PIPELINE_RATE_HZ} Hz, got "
-            f"{x1.sample_rate_hz} and {x2.sample_rate_hz}"
-        )
-    if len(x1) != len(x2):
-        raise DimensionError(f"mixture lengths differ: {len(x1)} vs {len(x2)}")
-    x = np.vstack([x1.samples, x2.samples])
+    """The pair (checked by stack_pair, at 8000 Hz) as (2, N) data scaled
+    by 2**-e, and e: 0 unless the peak is out of range. A power of two
+    scales exactly, and every method's estimates are invariant to it."""
+    x, rate = stack_pair((x1, x2))
+    if rate != PIPELINE_RATE_HZ:
+        raise UnsupportedRateError(f"pipeline runs at {PIPELINE_RATE_HZ} Hz, got {rate}")
     e = math.frexp(max(x.max(), -x.min()))[1]
     if e in _PEAK_EXPONENTS:
         return x, 0

@@ -13,14 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import PIPELINE_RATE_HZ, set_read_only
-from .errors import (
-    DegenerateInputError,
-    DimensionError,
-    ParameterError,
-    SelectionError,
-    SingularDataError,
-    UnsupportedRateError,
-)
+from .errors import DimensionError, SelectionError, SingularDataError, UnsupportedRateError
 
 # Columns per block of a pass over (2, N) data: a block of a pair is 512 KiB,
 # so it stays in L2 while every product that reads it is formed. The width
@@ -59,24 +52,6 @@ def row_kurtosis(c) -> np.ndarray:
         m4 /= n
         usable = np.isfinite(m2) & (m2 > 0.0)
         return np.where(usable, m4 / (m2 * m2) - 3.0, np.nan)
-
-
-def kurtosis(y) -> float:
-    """Excess kurtosis of a sequence (see row_kurtosis). Raises ParameterError
-    for non-finite samples and DegenerateInputError for a constant sequence
-    or one whose fourth moment leaves the float64 range."""
-    y = np.ravel(np.asarray(y, dtype=np.float64))
-    value = float(row_kurtosis(y))
-    if np.isnan(value):
-        # only a failed score pays for finding its cause
-        if not np.all(np.isfinite(y)):
-            raise ParameterError("kurtosis needs finite samples")
-        if y.min() == y.max():
-            raise DegenerateInputError("zero-variance input has no kurtosis")
-        raise DegenerateInputError(
-            "the fourth moment overflows (or underflows) float64; scale the input"
-        )
-    return value
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,12 @@ from bss_uwpd import (
     decimate_to_8k,
     mix,
     read_wav,
+    stack_pair,
     synth_source,
     write_wav,
 )
 from bss_uwpd.audio_io import _lowpass_taps
-from bss_uwpd.stats import kurtosis
+from bss_uwpd.stats import row_kurtosis
 
 from helpers import EQ8_MATRIX
 
@@ -233,15 +234,50 @@ class TestMix:
         with pytest.raises(ParameterError):
             MixingMatrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
+    def test_singularity_does_not_depend_on_scale(self):
+        for scale in (1e-7, 2.0**-24, 1.0, 1e6, 1e160):
+            MixingMatrix(scale * EQ8_MATRIX)
+            MixingMatrix(scale * np.eye(2))
+            for singular in ([[1.0, 1.0], [1.0, 1.0 + 1e-13]], [[0.0, 0.0], [1.0, 1.0]]):
+                with pytest.raises(ParameterError, match="singular"):
+                    MixingMatrix(scale * np.array(singular))
+
+    def test_rate_mismatch(self):
+        with pytest.raises(UnsupportedRateError):
+            mix((Signal([1.0, 2.0], 8000), Signal([1.0, 2.0], 16000)),
+                MixingMatrix(EQ8_MATRIX))
+
+    def test_stack_pair(self):
+        x, rate = stack_pair((Signal([1.0, 2.0], 16000), Signal([3.0, 4.0], 16000)))
+        assert x.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert rate == 16000
+        with pytest.raises(DimensionError):
+            stack_pair((Signal([1.0], 8000), Signal([1.0, 2.0], 8000)))
+        with pytest.raises(UnsupportedRateError):
+            stack_pair((Signal([1.0], 8000), Signal([1.0], 16000)))
+
+
+class TestSignal:
+    @pytest.mark.parametrize("rate", [8000.7, 8000.0, "8000", None, 0, -8000])
+    def test_rate_must_be_an_integer_above_zero(self, rate):
+        with pytest.raises(ParameterError, match="sample rate"):
+            Signal(np.ones(4), rate)
+
+    @pytest.mark.parametrize("rate", [8000, np.int64(8000)])
+    def test_integer_rate_is_kept_as_int(self, rate):
+        signal = Signal(np.ones(4), rate)
+        assert type(signal.sample_rate_hz) is int
+        assert signal.sample_rate_hz == 8000
+
 
 class TestSynthSource:
     def test_gaussian_kurtosis(self):
         signal = synth_source("gaussian", 100000, seed=11)
-        assert abs(kurtosis(signal.samples)) < 0.1
+        assert abs(float(row_kurtosis(signal.samples))) < 0.1
 
     def test_uniform_kurtosis(self):
         signal = synth_source("uniform", 100000, seed=12)
-        assert abs(kurtosis(signal.samples) - (-1.2)) < 0.05
+        assert abs(float(row_kurtosis(signal.samples)) - (-1.2)) < 0.05
 
     def test_deterministic_for_seed(self):
         a = synth_source("laplacian", 4096, seed=13)

@@ -89,6 +89,18 @@ class TestMix:
         assert code != 0
         assert not (tmp_path / "out").exists()
 
+    def test_scaled_matrix_writes_the_same_mixtures(self, tmp_path, speech_wavs):
+        # 2**-24 * EQ8 has |det| = 2**-48, far below a fixed 1e-12, but the
+        # pair is rescaled to one peak, so its mixtures are EQ8's bit for bit
+        for name, matrix in (("eq8", "2,1,1,1"),
+                             ("scaled", ",".join(repr(2.0**-24 * v) for v in (2, 1, 1, 1)))):
+            code = main(["mix", *map(str, speech_wavs), "--matrix", matrix,
+                         "--out", str(tmp_path / name)])
+            assert code == 0
+        for wav in ("mix1.wav", "mix2.wav"):
+            want = (tmp_path / "eq8" / wav).read_bytes()
+            assert (tmp_path / "scaled" / wav).read_bytes() == want
+
 
 class TestSeparate:
     def test_proposed_writes_estimates_and_record(self, tmp_path, mixture_dir):
@@ -429,6 +441,65 @@ class TestExperiment:
         for row in rows:
             if row["source"] != "Average":
                 assert row["SIR"] > 30.0
+
+
+class TestInputsAreNeverOverwritten:
+    """A command whose artifact path is one of its input files exits 2
+    before writing anything, and the input keeps its bytes."""
+
+    @pytest.mark.parametrize("link", [False, True])
+    def test_mix(self, tmp_path, speech_wavs, capsys, link):
+        out = tmp_path / "out"
+        out.mkdir()
+        source = out / "mix1.wav"
+        if link:  # the input is named by a path other than the artifact's
+            os.link(speech_wavs[0], source)
+            argument = speech_wavs[0]
+        else:
+            source.write_bytes(speech_wavs[0].read_bytes())
+            argument = out / ".." / "out" / "mix1.wav"
+        before = source.read_bytes()
+        code = main(["mix", str(argument), str(speech_wavs[1]), "--out", str(out)])
+        assert code == 2
+        assert "input file" in capsys.readouterr().err
+        assert source.read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["mix1.wav"]
+
+    @pytest.mark.parametrize("name", ["est_sobi_1.wav", "runs.jsonl"])
+    def test_separate(self, tmp_path, mixture_dir, name):
+        out = tmp_path / "sep"
+        out.mkdir()
+        mixture = out / name
+        mixture.write_bytes((mixture_dir / "mix1.wav").read_bytes())
+        before = mixture.read_bytes()
+        code = main(["separate", str(mixture), str(mixture_dir / "mix2.wav"),
+                     "--method", "sobi", "--out", str(out)])
+        assert code == 2
+        assert mixture.read_bytes() == before
+        assert [p.name for p in out.iterdir()] == [name]
+
+    def test_evaluate_json(self, tmp_path, speech_wavs, capsys):
+        reference = tmp_path / "ref.wav"
+        reference.write_bytes(speech_wavs[1].read_bytes())
+        before = reference.read_bytes()
+        code = main(["evaluate", *map(str, speech_wavs), str(speech_wavs[0]), str(reference),
+                     "--json", str(reference)])
+        assert code == 2
+        assert "Average" not in capsys.readouterr().out
+        assert reference.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.wav", "s1.wav", "s2.wav"]
+
+    def test_experiment(self, tmp_path, speech_wavs):
+        out = tmp_path / "exp"
+        out.mkdir()
+        source = out / "ref2.wav"
+        source.write_bytes(speech_wavs[1].read_bytes())
+        before = source.read_bytes()
+        code = main(["experiment", str(speech_wavs[0]), str(source), "--methods", "sobi",
+                     "--out", str(out)])
+        assert code == 2
+        assert source.read_bytes() == before
+        assert [p.name for p in out.iterdir()] == ["ref2.wav"]
 
 
 class TestParserReuse:

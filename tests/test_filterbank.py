@@ -13,7 +13,6 @@ from bss_uwpd import (
     build_cb_tree,
     db4_filters,
     decompose_nodes,
-    uwpd_step,
     walk,
 )
 
@@ -52,18 +51,31 @@ def roll_step(coeffs, filters, level):
 
 def pending_walk(x, tree, filters):
     """Reference walk: a stack of pending siblings, each split filtering
-    both children at once with uwpd_step into fresh arrays."""
+    both children at once with roll_step into fresh arrays."""
     leaves = {(leaf.level, leaf.position) for leaf in tree.leaves}
     pending = [((0, 0), x)]
     while pending:
         (level, position), coeffs = pending.pop()
         yield (level, position), coeffs
         if (level, position) not in leaves:
-            approx, detail = uwpd_step(coeffs, filters, level + 1)
+            approx, detail = roll_step(coeffs, filters, level + 1)
             if position % 2 == 1:
                 approx, detail = detail, approx
             lo, hi = (level + 1, 2 * position), (level + 1, 2 * position + 1)
             pending += [(hi, detail), (lo, approx)]
+
+
+def walked(x, tree, filters):
+    """Every node of walk, keyed by node, each a copy of the walk's block."""
+    return {node: coeffs.copy() for node, coeffs in walk(x, tree, filters)}
+
+
+def assert_walk_equals_pending_walk(x, tree, filters):
+    pairs = itertools.zip_longest(walk(x, tree, filters), pending_walk(x, tree, filters))
+    for (node, coeffs), (want_node, want) in pairs:
+        assert node == want_node
+        assert coeffs.shape == x.shape
+        assert coeffs.tobytes() == want.tobytes()
 
 
 class TestDb4Filters:
@@ -90,48 +102,50 @@ class TestDb4Filters:
 
 
 class TestUwpdStep:
-    def test_impulse_response(self, filters):
+    """The undecimated analysis step, as walk applies it at each level."""
+
+    def test_impulse_response(self, tree, filters):
         impulse = np.zeros(32)
         impulse[0] = 1.0
-        approx, detail = uwpd_step(impulse, filters, 1)
-        assert np.allclose(approx[:8], filters.h, atol=1e-15)
-        assert np.allclose(detail[:8], filters.g, atol=1e-15)
-        assert not approx[8:].any() and not detail[8:].any()
+        nodes = walked(impulse, tree, filters)
+        for node, taps in (((1, 0), filters.h), ((1, 1), filters.g)):
+            assert np.allclose(nodes[node][:8], taps, atol=1e-15)
+            assert not nodes[node][8:].any()
 
     @pytest.mark.parametrize("level", [1, 2, 5])
-    def test_energy_doubles(self, filters, level):
+    def test_energy_doubles(self, tree, filters, level):
         rng = np.random.default_rng(level)
         x = rng.standard_normal(777)
-        approx, detail = uwpd_step(x, filters, level)
-        total = approx @ approx + detail @ detail
-        assert abs(total - 2.0 * (x @ x)) < 1e-8 * 2.0 * (x @ x)
+        nodes = walked(x, tree, filters)
+        # each split into this level is one step of the level's filters
+        splits = [pos for lv, pos in nodes if lv == level - 1 and (level, 2 * pos) in nodes]
+        assert splits
+        for pos in splits:
+            parent = nodes[(level - 1, pos)]
+            children = (nodes[(level, 2 * pos + k)] for k in (0, 1))
+            total = sum(child @ child for child in children)
+            assert abs(total - 2.0 * (parent @ parent)) < 1e-8 * 2.0 * (parent @ parent)
 
-    def test_shift_covariance_is_exact(self, filters):
+    def test_shift_covariance_is_exact(self, tree, filters):
         rng = np.random.default_rng(9)
         x = rng.standard_normal(500)
-        a1, d1 = uwpd_step(x, filters, 3)
-        a2, d2 = uwpd_step(np.roll(x, 21), filters, 3)
-        assert np.array_equal(np.roll(a1, 21), a2)
-        assert np.array_equal(np.roll(d1, 21), d2)
+        base, shifted = walked(x, tree, filters), walked(np.roll(x, 21), tree, filters)
+        for node in base:
+            assert np.array_equal(np.roll(base[node], 21), shifted[node])
 
     @pytest.mark.parametrize("n", [*range(1, 21), 64, 65, 100, 113, 4097, 32769])
-    def test_equals_roll_reference(self, filters, n):
+    def test_equals_roll_reference(self, tree, filters, n):
         # at level 5 the tap shifts reach 112, beyond n = 64, 65 and 100;
         # the first 7 * 2**(level-1) outputs wrap past index 0, and at
         # n <= 113 they can be all of them; 32769 spans two column blocks
-        # of three rows
+        # of three rows. A strided or Fortran root is filtered as given.
         rng = np.random.default_rng(n)
         wide = rng.standard_normal((3, 3 * n))
         x = np.ascontiguousarray(wide[:, :n])
-        layouts = (x[0], x[:2], x, wide[:, ::3], np.asfortranarray(x))
-        for level in range(1, 6):
-            for data in layouts:
-                got, want = uwpd_step(data, filters, level), roll_step(data, filters, level)
-                for g, w in zip(got, want):
-                    assert g.shape == data.shape
-                    assert g.tobytes() == w.tobytes()
+        for data in (x[0], x[:2], x, wide[:, ::3], np.asfortranarray(x)):
+            assert_walk_equals_pending_walk(data, tree, filters)
 
-    def test_first_tap_adds_to_positive_zero(self, filters):
+    def test_first_tap_adds_to_positive_zero(self, tree, filters):
         # every level-1 approx product of output i is -0.0; a zero-filled
         # sum reads +0.0 there, a first tap stored as is would read -0.0.
         # Output 0 wraps past index 0, output 7 does not.
@@ -140,24 +154,25 @@ class TestUwpdStep:
             reads = (i - np.arange(8)) % 16
             x[reads] = np.where(filters.h > 0, -0.0, 0.0)
             assert all(np.signbit(filters.h * x[reads]))
-            got, want = uwpd_step(x, filters, 1), roll_step(x, filters, 1)
-            assert not np.signbit(want[0][i])
-            for g, w in zip(got, want):
-                assert g.tobytes() == w.tobytes()
+            assert not np.signbit(roll_step(x, filters, 1)[0][i])
+            assert_walk_equals_pending_walk(x, tree, filters)
 
     @pytest.mark.parametrize("level", range(1, 6))
-    def test_wrap_across_column_blocks_matches_roll_bytes(self, filters, level):
+    def test_wrap_across_column_blocks_matches_roll_bytes(self, tree, filters, level):
         # 40000 columns of two rows span three column blocks of the step
         rng = np.random.default_rng(40000 + level)
         x = rng.standard_normal((2, 40000))
-        stacked = uwpd_step(x, filters, level)
+        stacked = {node: c for node, c in walked(x, tree, filters).items() if node[0] == level}
+        assert stacked
         for row in range(2):
-            for got, want in zip(stacked, roll_step(x[row], filters, level)):
-                assert got[row].tobytes() == want.tobytes()
+            for node, want in pending_walk(x[row], tree, filters):
+                if node in stacked:
+                    assert stacked[node][row].tobytes() == want.tobytes()
 
-    def test_empty_input(self, filters):
-        with pytest.raises(DimensionError):
-            uwpd_step(np.array([]), filters, 1)
+    def test_empty_input(self, tree, filters):
+        for x in (np.array([]), np.empty((2, 0))):
+            with pytest.raises(DimensionError):
+                list(walk(x, tree, filters))
 
 
 class TestCbTree:
@@ -275,10 +290,7 @@ class TestDecompose:
     @pytest.mark.parametrize("n", [64, 700, 4097, 100003])
     def test_walk_matches_pending_sibling_walk(self, tree, filters, n):
         x = np.random.default_rng(n).standard_normal((2, n))
-        pairs = itertools.zip_longest(walk(x, tree, filters), pending_walk(x, tree, filters))
-        for (node, coeffs), (want_node, want) in pairs:
-            assert node == want_node
-            assert coeffs.tobytes() == want.tobytes()
+        assert_walk_equals_pending_walk(x, tree, filters)
 
     @pytest.mark.parametrize("stop", [None, 1, 6, 20])
     def test_walk_holds_no_buffers_once_done(self, tree, filters, stop):

@@ -111,8 +111,9 @@ class TestProposed:
     def test_rate_and_length_checks(self):
         good = synth_source("gaussian", 8192, seed=9)
         wrong_rate = Signal(good.samples, 16000)
-        with pytest.raises(UnsupportedRateError):
-            separate_proposed(wrong_rate, wrong_rate)
+        for pair in ((wrong_rate, wrong_rate), (good, wrong_rate)):
+            with pytest.raises(UnsupportedRateError):
+                separate_proposed(*pair)
         short = Signal(good.samples[:4096], 8000)
         with pytest.raises(DimensionError):
             separate_proposed(good, short)

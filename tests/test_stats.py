@@ -6,18 +6,19 @@ import pytest
 from scipy import stats as sps
 
 from bss_uwpd import (
-    DegenerateInputError,
     DimensionError,
-    ParameterError,
     SelectionError,
     SingularDataError,
     UnsupportedRateError,
     fit_whitening,
-    kurtosis,
     score_nodes,
     select_best_node,
 )
 from bss_uwpd.stats import row_kurtosis
+
+
+def kurtosis(y) -> float:
+    return float(row_kurtosis(y))
 
 
 class TestKurtosis:
@@ -45,28 +46,25 @@ class TestKurtosis:
         assert abs(kurtosis(scale * y + shift) - kurtosis(y)) < 1e-8
 
     def test_zero_variance(self):
-        with pytest.raises(DegenerateInputError):
-            kurtosis(np.full(100, 3.3))
+        assert np.isnan(row_kurtosis(np.full(100, 3.3)))
 
     def test_too_short(self):
         with pytest.raises(DimensionError):
-            kurtosis(np.array([1.0, 2.0, 3.0]))
+            row_kurtosis(np.array([1.0, 2.0, 3.0]))
 
-    def test_fourth_moment_overflow_is_named_unwarned(self):
+    def test_fourth_moment_overflow_is_nan_unwarned(self):
         # the variance, about 4e199, is finite; its square and m4 are not
         y = np.array([1e100, -1e100, 3e99, 0.0, 5e99])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DegenerateInputError, match="fourth moment"):
-                kurtosis(y)
+            assert np.isnan(row_kurtosis(y))
             assert np.isnan(row_kurtosis(np.vstack([y, y]))).all()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_samples(self, bad):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ParameterError, match="finite"):
-                kurtosis(np.array([1.0, 2.0, bad, 4.0, 5.0]))
+            assert np.isnan(row_kurtosis(np.array([1.0, 2.0, bad, 4.0, 5.0])))
 
 
 class TestRowKurtosis:
@@ -115,10 +113,10 @@ class TestNodeSelection:
             (4, 1): (rng.standard_normal(4096), rng.standard_normal(4096)),
         }
         scores = _score_map(data)
-        # brute-force oracle: recompute min-kurtosis per node directly
+        # brute-force oracle: recompute min-kurtosis per node with scipy
         oracle = max(
             data,
-            key=lambda node: min(kurtosis(data[node][0]), kurtosis(data[node][1])),
+            key=lambda node: min(sps.kurtosis(c, fisher=True, bias=True) for c in data[node]),
         )
         assert oracle == (5, 1)
         assert select_best_node(scores).node == oracle
