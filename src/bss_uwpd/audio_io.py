@@ -28,6 +28,13 @@ PIPELINE_RATE_HZ = 8000
 _PCM_FULL_SCALE = 32768  # 16-bit integer range is [-32768, 32767]
 
 
+def check_rate(rate_hz, what: str) -> None:
+    """The one 8 kHz rule: raise UnsupportedRateError, naming what runs at
+    the rate, unless rate_hz is PIPELINE_RATE_HZ."""
+    if rate_hz != PIPELINE_RATE_HZ:
+        raise UnsupportedRateError(f"{what} runs at {PIPELINE_RATE_HZ} Hz only, got {rate_hz} Hz")
+
+
 def set_read_only(obj, **arrays):
     """Set each named field of a frozen dataclass to a read-only float64
     copy of its array, which the caller's array then cannot change."""
@@ -168,14 +175,14 @@ def decimate_to_8k(signal: Signal) -> Signal:
     output stays aligned with the input.
     """
     rate = signal.sample_rate_hz
-    if rate == PIPELINE_RATE_HZ:
-        return signal
-    if rate % PIPELINE_RATE_HZ != 0:
+    factor, rest = divmod(rate, PIPELINE_RATE_HZ)
+    if rest:
         raise UnsupportedRateError(
             f"cannot decimate {rate} Hz to {PIPELINE_RATE_HZ} Hz: "
             "rate is not an integer multiple"
         )
-    factor = rate // PIPELINE_RATE_HZ
+    if factor == 1:
+        return signal
     numtaps = 64 * factor + 1  # odd length: integer group delay
     taps = _lowpass_taps(numtaps, 0.45 * PIPELINE_RATE_HZ, rate)
     half = (numtaps - 1) // 2

@@ -12,8 +12,9 @@ Subcommands
 
 All artifacts are written atomically (temp file + rename) and contain no
 timestamps, so a fixed seed reproduces byte-identical outputs. The seed
-falls back to the BSS_UWPD_SEED environment variable, then 42. A command
-whose artifact path names one of its own input files writes nothing.
+falls back to the BSS_UWPD_SEED environment variable, then IcaOptions'
+default. A command whose artifact path names one of its own input files,
+or that names one source file twice, writes nothing.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +34,11 @@ from .audio_io import (MixingMatrix, Signal, atomic_file, decimate_to_8k, mix, r
 from .errors import BssError, DegenerateInputError, ParameterError
 from .metrics import evaluate_pair
 from .pipeline import METHODS, separate
-from .separators import DEFAULT_SOBI_LAGS, IcaOptions, check_lags
+from .separators import CONTRASTS, DEFAULT_SOBI_LAGS, IcaOptions, check_lags
 
 MIX_PEAK = 0.9
 
+# the report's names of SourceMetrics' fields, in their order
 METRIC_COLUMNS = ("SIR", "SDR", "segSNR", "overallSNR")
 
 MIX_ARTIFACTS = ("mix1.wav", "mix2.wav", "mix_manifest.json")
@@ -54,6 +57,8 @@ def _mix(out: Path, source_paths, matrix: MixingMatrix, **extra):
     scale the pair to peak at MIX_PEAK; write mix1.wav, mix2.wav and
     mix_manifest.json (with extra manifest keys) only once every input has
     been checked. Returns the decimated sources."""
+    if os.path.samefile(*source_paths):
+        raise ParameterError("source paths must be two distinct files")
     sources = [decimate_to_8k(read_wav(path)) for path in source_paths]
     n = min(len(s) for s in sources)
     sources = [Signal(s.samples[:n], s.sample_rate_hz) for s in sources]
@@ -100,10 +105,10 @@ def _parse_lags(text: str):
 
 
 def _ica_options(args) -> IcaOptions:
-    """Fit options; without --seed the seed is BSS_UWPD_SEED, then 42."""
+    """Fit options; without --seed the seed is BSS_UWPD_SEED, then IcaOptions' default."""
     seed = args.seed
     if seed is None:
-        text = os.environ.get("BSS_UWPD_SEED", "42")
+        text = os.environ.get("BSS_UWPD_SEED", str(IcaOptions.seed))
         try:
             seed = int(text)
         except ValueError:
@@ -116,6 +121,11 @@ def _ica_options(args) -> IcaOptions:
     )
 
 
+def _estimate_names(method: str):
+    """The names of the two estimate WAVs that separating with method writes."""
+    return [f"est_{method}_{k}.wav" for k in (1, 2)]
+
+
 def _separate_wavs(out: Path, mix_paths, method: str, opts: IcaOptions, lags) -> dict:
     """Separate a mixture WAV pair with one method and write its two
     estimates as WAVs peaking at MIX_PEAK; returns its run record. A fit
@@ -125,7 +135,7 @@ def _separate_wavs(out: Path, mix_paths, method: str, opts: IcaOptions, lags) ->
     if not model.converged:
         print(f"warning: {method} did not converge in {model.iterations} iterations",
               file=sys.stderr)
-    names = [f"est_{method}_{k}.wav" for k in (1, 2)]
+    names = _estimate_names(method)
     for estimate, name in zip(result.estimates, names):
         # each estimate has unit variance, so its peak is at least 1
         peak = np.max(np.abs(estimate.samples))
@@ -147,28 +157,11 @@ def _score(method: str, estimate_paths, references):
     """Table rows scoring two estimate WAVs against two reference Signals:
     one per source, then their average."""
     report = evaluate_pair([read_wav(path) for path in estimate_paths], references)
-    rows = []
-    for index, source in enumerate(report.per_source, start=1):
-        rows.append(
-            {
-                "method": method,
-                "source": f"source {index}",
-                "SIR": source.sir_db,
-                "SDR": source.sdr_db,
-                "segSNR": source.seg_snr_db,
-                "overallSNR": source.overall_snr_db,
-            }
-        )
-    rows.append(
-        {
-            "method": method,
-            "source": "Average",
-            **{
-                column: float(np.mean([r[column] for r in rows]))
-                for column in METRIC_COLUMNS
-            },
-        }
-    )
+    rows = [{"method": method, "source": f"source {index}",
+             **dict(zip(METRIC_COLUMNS, astuple(source)))}
+            for index, source in enumerate(report.per_source, start=1)]
+    rows.append({"method": method, "source": "Average",
+                 **{c: float(np.mean([r[c] for r in rows])) for c in METRIC_COLUMNS}})
     return rows
 
 
@@ -202,7 +195,7 @@ def cmd_separate(args) -> int:
     out = Path(args.out)
     mix_paths = (args.mix1, args.mix2)
     records_path = out / "runs.jsonl"
-    estimate_paths = [out / f"est_{args.method}_{k}.wav" for k in (1, 2)]
+    estimate_paths = [out / name for name in _estimate_names(args.method)]
     _keep_inputs(mix_paths, [records_path, *estimate_paths])
     record = _separate_wavs(out, mix_paths, args.method, _ica_options(args), args.lags)
     existing = records_path.read_bytes() if records_path.exists() else b""
@@ -237,12 +230,10 @@ def cmd_experiment(args) -> int:
             raise ParameterError(f"unknown method {name!r}")
     if len(set(methods)) != len(methods):
         raise ParameterError(f"--methods names a method twice: {args.methods!r}")
-    if len(set(map(str, source_paths))) != 2:
-        raise ParameterError("source paths must be two distinct files")
     opts = _ica_options(args)
     ref_names = ["ref1.wav", "ref2.wav"]
     report_names = ["runs.jsonl", "report.txt", "report.jsonl"]
-    estimate_names = [f"est_{name}_{k}.wav" for name in methods for k in (1, 2)]
+    estimate_names = [est for name in methods for est in _estimate_names(name)]
     _keep_inputs(source_paths, [out / name for name in (*MIX_ARTIFACTS, *ref_names,
                                                          *report_names, *estimate_names)])
     sources = _mix(out, source_paths, matrix,
@@ -280,10 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, help="default: BSS_UWPD_SEED, then 42")
-        p.add_argument("--contrast", choices=("tanh", "gauss", "cube"), default="tanh")
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--max-iter", type=int, default=200)
+        p.add_argument("--seed", type=int,
+                       help=f"default: BSS_UWPD_SEED, then {IcaOptions.seed}")
+        p.add_argument("--contrast", choices=CONTRASTS, default=IcaOptions.contrast)
+        p.add_argument("--tol", type=float, default=IcaOptions.tolerance)
+        p.add_argument("--max-iter", type=int, default=IcaOptions.max_iterations)
         p.add_argument("--lags", type=_parse_lags, default=DEFAULT_SOBI_LAGS,
                        help="SOBI lags, e.g. 1-20 or 1,2,5")
 

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .audio_io import PIPELINE_RATE_HZ, Signal, set_read_only
-from .errors import DimensionError, ParameterError, UnsupportedRateError
+from .audio_io import PIPELINE_RATE_HZ, Signal, check_rate, set_read_only
+from .errors import DimensionError, ParameterError
+from .stats import BLOCK_COLUMNS
 
 MAX_LEVEL = 5
 
@@ -114,13 +115,6 @@ class CbTree:
         return position * width, (position + 1) * width
 
 
-# Elements per column block of a filter pass: the input the block's eight
-# delayed rows read and its output (512 KiB for a pair) stay in L2. On a
-# 2 MiB-L2 Xeon a walk of (2, 480000) took 137 ms at this width, 131-133 at
-# 65536-131072, 151 at 8192 and 212 unblocked (medians of 30).
-_BLOCK_ELEMENTS = 32768
-
-
 def _filter_into(c, taps, level: int, out):
     """One undecimated filter step of (..., N) data c at a level (1-based),
     written into out, which must not overlap c: circular convolution along
@@ -139,9 +133,9 @@ def _filter_into(c, taps, level: int, out):
     # row k of this view is c shifted right by k * shift, with no copy
     delayed = as_strided(c[..., head:], c.shape[:-1] + (last + 1, n - head),
                          c.strides[:-1] + (-shift * step, step), writeable=False)
-    body, width = out[..., head:], max(1, _BLOCK_ELEMENTS * n // c.size)
-    for start in range(0, n - head, width):
-        block = slice(start, start + width)
+    body = out[..., head:]
+    for start in range(0, n - head, BLOCK_COLUMNS):
+        block = slice(start, start + BLOCK_COLUMNS)
         np.einsum("k,...kj->...j", taps, delayed[..., block], out=body[..., block])
 
 
@@ -168,10 +162,7 @@ def build_cb_tree(fs_hz: int = PIPELINE_RATE_HZ) -> CbTree:
     band while its width exceeds sqrt(2) times the critical bandwidth at
     the band's center, capping the depth at five levels.
     """
-    if fs_hz != PIPELINE_RATE_HZ:
-        raise UnsupportedRateError(
-            f"critical-band table covers 0..4000 Hz; need fs = 8000, got {fs_hz}"
-        )
+    check_rate(fs_hz, "the critical-band tree")
     leaves = []
 
     def split(level, position):
@@ -226,8 +217,5 @@ def _subtree(node, coeffs, leaves, filters: FilterPair, free):
 def decompose_nodes(signal: Signal, tree: CbTree, filters: FilterPair):
     """Coefficients for every node of the tree, keyed by (level, position);
     each node is a copy of the walk's block."""
-    if signal.sample_rate_hz != tree.fs_hz:
-        raise UnsupportedRateError(
-            f"signal rate {signal.sample_rate_hz} does not match tree rate {tree.fs_hz}"
-        )
+    check_rate(signal.sample_rate_hz, "the filterbank")
     return {node: coeffs.copy() for node, coeffs in walk(signal.samples, tree, filters)}

@@ -52,7 +52,11 @@ def _dot(a, b) -> float:
 
 def _samples(*signals):
     """Each signal's samples as a float array, checked to be finite (a
-    Signal already is) and to share one length."""
+    Signal already is) and to share one length; the Signals among them
+    must share one sample rate."""
+    rates = {s.sample_rate_hz for s in signals if isinstance(s, Signal)}
+    if len(rates) > 1:
+        raise UnsupportedRateError(f"signals must share one sample rate, got {sorted(rates)} Hz")
     arrays = []
     for signal in signals:
         if isinstance(signal, Signal):
@@ -224,13 +228,7 @@ def evaluate_pair(estimates, references) -> MetricsReport:
 
     per_source[k] holds the metrics of the estimate matched to reference k.
     Every score comes from one Gram table of the raw estimates and references.
-    Signals of different sample rates are rejected.
     """
-    rates = {s.sample_rate_hz for s in (*estimates, *references) if isinstance(s, Signal)}
-    if len(rates) > 1:
-        raise UnsupportedRateError(
-            f"estimates and references must share one sample rate, got {sorted(rates)} Hz"
-        )
     arrays = _samples(*estimates, *references)
     gram, permutation, signs = _align(arrays)
     scratch = np.empty(arrays[0].size)

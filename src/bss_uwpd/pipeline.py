@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .audio_io import PIPELINE_RATE_HZ, Signal, stack_pair
-from .errors import DegenerateInputError, ParameterError, UnsupportedRateError
+from .audio_io import PIPELINE_RATE_HZ, Signal, check_rate, stack_pair
+from .errors import DegenerateInputError, ParameterError
 from .filterbank import build_cb_tree, db4_filters, walk
 from .separators import (
     DEFAULT_SOBI_LAGS,
@@ -54,8 +54,7 @@ def _stack_pair(x1: Signal, x2: Signal):
     by 2**-e, and e: 0 unless the peak is out of range. A power of two
     scales exactly, and every method's estimates are invariant to it."""
     x, rate = stack_pair((x1, x2))
-    if rate != PIPELINE_RATE_HZ:
-        raise UnsupportedRateError(f"pipeline runs at {PIPELINE_RATE_HZ} Hz, got {rate}")
+    check_rate(rate, "the pipeline")
     e = math.frexp(max(x.max(), -x.min()))[1]
     if e in _PEAK_EXPONENTS:
         return x, 0

@@ -45,6 +45,7 @@ _CONTRASTS = {
     "gauss": (_gauss_sums, 0.0),
     "cube": (_cube_sums, 0.0),
 }
+CONTRASTS = tuple(_CONTRASTS)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from bss_uwpd import (
     separate_baseline,
     separate_proposed,
     sir,
-    sobi,
     synth_source,
     write_wav,
 )

@@ -19,14 +19,19 @@ from bss_uwpd import (
     UnsupportedRateError,
     WavFormatError,
     WhiteningModel,
+    build_cb_tree,
+    db4_filters,
     decimate_to_8k,
+    decompose_nodes,
     mix,
     read_wav,
+    select_best_node,
+    separate,
     stack_pair,
     synth_source,
     write_wav,
 )
-from bss_uwpd.audio_io import _lowpass_taps
+from bss_uwpd.audio_io import _lowpass_taps, check_rate
 from bss_uwpd.stats import row_kurtosis
 
 from helpers import EQ8_MATRIX
@@ -168,7 +173,7 @@ class TestDecimate:
         decimated = decimate_to_8k(Signal(tone, 16000))
         assert np.sqrt(np.mean(decimated.samples**2)) < 0.05 * np.sqrt(np.mean(tone**2))
 
-    @pytest.mark.parametrize("rate", [12000, 44100])
+    @pytest.mark.parametrize("rate", [4000, 12000, 44100])
     def test_non_integer_ratio_rejected(self, rate):
         with pytest.raises(UnsupportedRateError):
             decimate_to_8k(Signal(np.zeros(100) + 0.1, rate))
@@ -178,6 +183,26 @@ class TestDecimate:
         rate, numtaps = 8000 * factor, 64 * factor + 1
         taps = _lowpass_taps(numtaps, 0.45 * 8000, rate)
         assert np.array_equal(taps, firwin(numtaps, 0.45 * 8000, fs=rate))
+
+
+class TestCheckRate:
+    def test_only_8000_hz_passes(self):
+        check_rate(8000, "the pipeline")
+        for rate in (4000, 16000, 8000.5):
+            with pytest.raises(UnsupportedRateError,
+                               match=f"^the pipeline runs at 8000 Hz only, got {rate} Hz$"):
+                check_rate(rate, "the pipeline")
+
+    def test_every_8k_check_is_check_rate(self):
+        fast = Signal(np.ones(256), 16000)
+        for call in (
+            lambda: build_cb_tree(16000),
+            lambda: decompose_nodes(fast, build_cb_tree(), db4_filters()),
+            lambda: select_best_node([], 16000),
+            lambda: separate(fast, fast, "sobi"),
+        ):
+            with pytest.raises(UnsupportedRateError, match="runs at 8000 Hz only, got 16000 Hz"):
+                call()
 
 
 class TestMix:

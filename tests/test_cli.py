@@ -443,6 +443,28 @@ class TestExperiment:
                 assert row["SIR"] > 30.0
 
 
+class TestOneSourceNamedTwice:
+    """mix and experiment exit 2 and write nothing when both source
+    arguments name one file, however the second is spelled."""
+
+    @pytest.mark.parametrize("command", ["mix", "experiment"])
+    @pytest.mark.parametrize("spelling", ["dot", "link"])
+    def test_exits_2_and_writes_nothing(self, tmp_path, speech_wavs, capsys, command,
+                                        spelling):
+        first = speech_wavs[0]
+        if spelling == "link":
+            second = tmp_path / "linked.wav"
+            os.link(first, second)
+        else:  # pathlib would drop the "."
+            second = f"{first.parent}/./{first.name}"
+        out = tmp_path / "out"
+        options = ["--methods", "sobi"] if command == "experiment" else []
+        code = main([command, str(first), str(second), "--out", str(out), *options])
+        assert code == 2
+        assert "two distinct files" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestInputsAreNeverOverwritten:
     """A command whose artifact path is one of its input files exits 2
     before writing anything, and the input keeps its bytes."""

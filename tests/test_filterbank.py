@@ -133,12 +133,13 @@ class TestUwpdStep:
         for node in base:
             assert np.array_equal(np.roll(base[node], 21), shifted[node])
 
-    @pytest.mark.parametrize("n", [*range(1, 21), 64, 65, 100, 113, 4097, 32769])
+    @pytest.mark.parametrize("n", [*range(1, 21), 64, 65, 100, 113, 4097, 32769, 32881])
     def test_equals_roll_reference(self, tree, filters, n):
         # at level 5 the tap shifts reach 112, beyond n = 64, 65 and 100;
         # the first 7 * 2**(level-1) outputs wrap past index 0, and at
-        # n <= 113 they can be all of them; 32769 spans two column blocks
-        # of three rows. A strided or Fortran root is filtered as given.
+        # n <= 113 they can be all of them; past them 32769 columns fill
+        # one 32768-column block and 32881 span two at every level. A
+        # strided or Fortran root is filtered as given.
         rng = np.random.default_rng(n)
         wide = rng.standard_normal((3, 3 * n))
         x = np.ascontiguousarray(wide[:, :n])
@@ -159,9 +160,9 @@ class TestUwpdStep:
 
     @pytest.mark.parametrize("level", range(1, 6))
     def test_wrap_across_column_blocks_matches_roll_bytes(self, tree, filters, level):
-        # 40000 columns of two rows span three column blocks of the step
+        # 70000 columns of two rows span three column blocks of the step
         rng = np.random.default_rng(40000 + level)
-        x = rng.standard_normal((2, 40000))
+        x = rng.standard_normal((2, 70000))
         stacked = {node: c for node, c in walked(x, tree, filters).items() if node[0] == level}
         assert stacked
         for row in range(2):

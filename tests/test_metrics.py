@@ -446,3 +446,17 @@ class TestInputChecks:
                 (Signal(a, 8000), Signal(b, 8000)),
                 (Signal(a, 8000), Signal(b, 16000)),
             )
+
+    def test_every_scorer_rejects_mixed_rates(self):
+        # the array-level metrics share evaluate_pair's input check
+        rng = np.random.default_rng(19)
+        a, b, c = (Signal(row, 8000) for row in rng.standard_normal((3, 2048)))
+        fast = Signal(c.samples, 16000)
+        for call in (
+            lambda: align((a, b), (c, fast)),
+            lambda: bss_decompose(a, (b, fast), 0),
+            lambda: segmental_snr(a, fast),
+            lambda: overall_snr(a, fast),
+        ):
+            with pytest.raises(UnsupportedRateError, match="share one sample rate"):
+                call()

@@ -21,7 +21,7 @@ from bss_uwpd import (
     sobi,
     synth_source,
 )
-from bss_uwpd import MixingMatrix, Signal
+from bss_uwpd import MixingMatrix
 from bss_uwpd.metrics import align
 from bss_uwpd.separators import _fastica_step, _lagged_covariances
 
