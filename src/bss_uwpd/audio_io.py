@@ -6,6 +6,7 @@ combinations x_i(t) = sum_j a[i][j] * s_j(t) of two equal-length sources.
 
 from __future__ import annotations
 
+import math
 import os
 import wave
 from contextlib import contextmanager
@@ -202,6 +203,22 @@ def stack_pair(signals):
     if len(s1) != len(s2):
         raise DimensionError(f"signal lengths differ: {len(s1)} vs {len(s2)}")
     return np.vstack([s1.samples, s2.samples]), s1.sample_rate_hz
+
+
+# A peak outside [2**-64, 2**64) is brought to [0.5, 1) before any statistic
+# is taken: far enough outside, fourth moments, covariances and dot products
+# over- or underflow.
+_PEAK_EXPONENTS = range(-63, 65)
+
+
+def scale_into_range(x, peak):
+    """x and 0 when its peak (max |x|, given) lies in [2**-64, 2**64); else
+    x * 2**-e and e, which brings the peak into [0.5, 1). A power of two
+    scales exactly."""
+    e = math.frexp(peak)[1]
+    if e in _PEAK_EXPONENTS:
+        return x, 0
+    return np.ldexp(x, -e), e
 
 
 def mix(sources, a: MixingMatrix):

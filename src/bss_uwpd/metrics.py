@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import Signal
+from .audio_io import Signal, scale_into_range
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -80,19 +80,28 @@ def _gram(arrays):
 
 
 def _align(arrays):
-    """Gram table of [e0, e1, r0, r1], then align's rule on G_ij - S_i S_j / N."""
-    if not arrays[0].size or any(arr.min() == arr.max() for arr in arrays):
+    """[e0, e1, r0, r1] with each estimate brought into range by
+    scale_into_range (every metric is invariant to an estimate's scale),
+    their Gram table, then align's rule on G_ij - S_i S_j / N."""
+    extremes = [(arr.min(), arr.max()) for arr in arrays] if arrays[0].size else []
+    if not extremes or any(lo == hi for lo, hi in extremes):
         raise DegenerateInputError("zero-variance signal cannot be aligned")
-    gram = _gram(arrays)
-    sums = np.array([arr.sum() for arr in arrays])
-    centred = gram - np.outer(sums, sums) / arrays[0].size
+    arrays = [scale_into_range(arr, max(hi, -lo))[0]
+              for arr, (lo, hi) in zip(arrays[:2], extremes)] + arrays[2:]
+    # references far outside the range overflow the table, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = _gram(arrays)
+        sums = np.array([arr.sum() for arr in arrays])
+        centred = gram - np.outer(sums, sums) / arrays[0].size
+    if not np.all(np.isfinite(centred)):
+        raise DegenerateInputError("signal energies exceed the float64 range")
     if np.any(np.diag(centred) <= 1e-10 * np.diag(gram)):  # too few digits left
         raise DegenerateInputError("signal variance is lost in the rounding of its mean")
     norms = np.sqrt(np.diag(centred))
     corr = centred[:2, 2:] / np.outer(norms[:2], norms[2:])
     permutation = (0, 1) if np.trace(abs(corr)) >= np.trace(abs(corr)[::-1]) else (1, 0)
     signs = tuple(1 if corr[i, permutation[i]] >= 0 else -1 for i in range(2))
-    return gram, permutation, signs
+    return arrays, gram, permutation, signs
 
 
 def align(estimates, references):
@@ -102,7 +111,7 @@ def align(estimates, references):
     assigned to estimate i and signs[i] is the sign of that correlation.
     A constant signal is rejected.
     """
-    return _align(_samples(*estimates, *references))[1:]
+    return _align(_samples(*estimates, *references))[2:]
 
 
 @dataclass(frozen=True)
@@ -229,8 +238,7 @@ def evaluate_pair(estimates, references) -> MetricsReport:
     per_source[k] holds the metrics of the estimate matched to reference k.
     Every score comes from one Gram table of the raw estimates and references.
     """
-    arrays = _samples(*estimates, *references)
-    gram, permutation, signs = _align(arrays)
+    arrays, gram, permutation, signs = _align(_samples(*estimates, *references))
     scratch = np.empty(arrays[0].size)
     per_source = []
     for k, (t, o) in enumerate(((2, 3), (3, 2))):

@@ -164,10 +164,9 @@ def as_pair(x, min_samples: int, what: str) -> np.ndarray:
     return x
 
 
-def fit_whitening(x) -> WhiteningModel:
-    """Fit mean and whitening matrix D^(-1/2) E^T from the eigendecomposition
-    of the (biased) sample covariance of 2-channel data shaped (2, N)."""
-    x = as_pair(x, 2, "whitening")
+def mean_covariance(x):
+    """Mean and biased (1/N) covariance of (2, N) data x, the centred
+    products summed over column blocks; no rank check."""
     mean = x.mean(axis=1)
     # -0.0 is the exact additive identity, so one block gives the same bits
     # as the whole-array centred product
@@ -175,6 +174,13 @@ def fit_whitening(x) -> WhiteningModel:
     for _, d in centred_blocks(x, mean[:, None]):
         cov += d @ d.T
     cov /= x.shape[1]
+    return mean, cov
+
+
+def fit_whitening(x) -> WhiteningModel:
+    """Fit mean and whitening matrix D^(-1/2) E^T from the eigendecomposition
+    of the (biased) sample covariance of 2-channel data shaped (2, N)."""
+    mean, cov = mean_covariance(as_pair(x, 2, "whitening"))
     evals, evecs = np.linalg.eigh(cov)
     if evals[0] <= 1e-12 * evals[-1]:
         raise SingularDataError(

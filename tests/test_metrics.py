@@ -1,4 +1,6 @@
 import tracemalloc
+import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -323,6 +325,51 @@ class TestScaleInvariance:
                    - segmental_snr(estimate, refs[0])) < 1e-9
         assert abs(overall_snr(factor * estimate, refs[0])
                    - overall_snr(estimate, refs[0])) < 1e-9
+
+
+class TestExtremeEstimateScale:
+    """evaluate_pair and align bring an estimate whose peak lies outside
+    [2**-64, 2**64) into range by a power of two, with no warning."""
+
+    @staticmethod
+    def _case():
+        rng = np.random.default_rng(17)
+        refs = rng.standard_normal((2, 4096))
+        noise = 0.05 * rng.standard_normal((2, 4096))
+        estimates = np.vstack([-(refs[1] + 0.1 * refs[0]), refs[0] + 0.2 * refs[1]]) + noise
+        return estimates, refs
+
+    @staticmethod
+    def _scored(estimates, refs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return evaluate_pair(estimates, refs), align(estimates, refs)
+
+    @pytest.mark.parametrize("factor", [2.0**600, 2.0**-600, 2.0**40],
+                             ids=["2**600", "2**-600", "2**40"])
+    def test_power_of_two_scale_gives_equal_report(self, factor):
+        estimates, refs = self._case()
+        base = self._scored(estimates, refs)
+        assert base[0].permutation == (1, 0)
+        assert self._scored(factor * estimates, refs) == base
+
+    @pytest.mark.parametrize("factor", [1e160, 1e-160])
+    def test_extreme_scale_matches_unit_scale(self, factor):
+        estimates, refs = self._case()
+        base, base_alignment = self._scored(estimates, refs)
+        report, alignment = self._scored(factor * estimates, refs)
+        assert alignment == base_alignment
+        assert (report.permutation, report.signs) == (base.permutation, base.signs)
+        for got, want in zip(report.per_source, base.per_source):
+            assert np.allclose(astuple(got), astuple(want), rtol=0.0, atol=1e-12)
+
+    def test_overflowing_references_raise_typed_error(self):
+        estimates, refs = self._case()
+        for scorer in (evaluate_pair, align):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DegenerateInputError):
+                    scorer(estimates, 1e160 * refs)
 
 
 class TestEvaluatePair:

@@ -1,4 +1,7 @@
 import tracemalloc
+import warnings
+from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from bss_uwpd import (
     METHOD_FASTICA,
     METHOD_PROPOSED,
     METHOD_SOBI,
+    METHODS,
     MixingMatrix,
     ParameterError,
     Signal,
@@ -28,8 +32,10 @@ from bss_uwpd import (
     separate_proposed,
     synth_source,
 )
+from bss_uwpd import pipeline
 from bss_uwpd.filterbank import build_cb_tree
 from bss_uwpd.pipeline import _select_subband
+from bss_uwpd.stats import affine
 
 from helpers import (
     EQ8_MATRIX,
@@ -101,12 +107,13 @@ class TestProposed:
 
     def test_estimates_match_model_application(self, mixture):
         _, _, x1, x2 = mixture
-        result = separate_proposed(x1, x2, IcaOptions(seed=6))
         x = np.vstack([x1.samples, x2.samples])
-        raw = result.model.combined @ (x - x.mean(axis=1, keepdims=True))
-        raw /= raw.std(axis=1, keepdims=True)
-        for i, estimate in enumerate(result.estimates):
-            assert np.max(np.abs(estimate.samples - raw[i])) < 1e-12
+        for method in METHODS:
+            result = separate(x1, x2, method, IcaOptions(seed=6))
+            raw = result.model.combined @ (x - x.mean(axis=1, keepdims=True))
+            raw /= raw.std(axis=1, keepdims=True)
+            for i, estimate in enumerate(result.estimates):
+                assert np.max(np.abs(estimate.samples - raw[i])) < 1e-12
 
     def test_rate_and_length_checks(self):
         good = synth_source("gaussian", 8192, seed=9)
@@ -117,6 +124,68 @@ class TestProposed:
         short = Signal(good.samples[:4096], 8000)
         with pytest.raises(DimensionError):
             separate_proposed(good, short)
+
+
+# eq8's covariance eigenvalue ratio is about 47, so its scale is folded;
+# the others' is above pipeline._FOLD_MAX_RATIO (about 650, 1.6e11 and
+# 6.4e11, the last near fit_whitening's rank limit)
+MATRICES = {
+    "eq8": EQ8_MATRIX,
+    "near_collinear": np.array([[1.0, 0.95], [0.9, 1.0]]),
+    "hadamard_1e-5": np.array([[1.0, 1.0], [1.0, 1.00001]]),
+    "hadamard_5e-6": np.array([[1.0, 1.0], [1.0, 1.000005]]),
+}
+
+
+@cache
+def _speechlike_mixture(n, matrix):
+    return mix(speechlike_pair(n, seed=4), MixingMatrix(MATRICES[matrix]))
+
+
+class TestUnitVarianceFold:
+    """separate folds 1/std into the unmixing matrix, from the rotation's
+    row norms for a model fitted on the mixtures, else from their
+    covariance, unless that covariance is ill-conditioned; then it divides
+    by the measured std."""
+
+    @pytest.mark.parametrize("n", [4096, 32768, 100003])
+    @pytest.mark.parametrize("matrix", sorted(MATRICES))
+    @pytest.mark.parametrize("method", METHODS)
+    def test_each_estimate_has_unit_std(self, method, matrix, n):
+        for estimate in separate(*_speechlike_mixture(n, matrix), method).estimates:
+            assert abs(estimate.samples.std() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("matrix", sorted(MATRICES))
+    @pytest.mark.parametrize("method", METHODS)
+    def test_estimates_match_the_measured_std_scale(self, method, matrix):
+        x1, x2 = _speechlike_mixture(32768, matrix)
+        result = separate(x1, x2, method)
+        x = np.vstack([x1.samples, x2.samples])
+        raw = affine(result.model.combined, x, x.mean(axis=1))
+        raw /= raw.std(axis=1, keepdims=True)
+        estimates = np.vstack([estimate.samples for estimate in result.estimates])
+        evals = np.linalg.eigvalsh(np.cov(x, bias=True))
+        if evals[-1] <= pipeline._FOLD_MAX_RATIO * evals[0]:
+            assert np.max(np.abs(estimates - raw)) <= 1e-13
+        else:
+            assert np.array_equal(estimates, raw)
+
+    @pytest.mark.parametrize("rotation", [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, np.inf]],
+                                          [[np.nan, 0.0], [0.0, 1.0]]],
+                             ids=["zero_row", "inf", "nan"])
+    @pytest.mark.parametrize("matrix", ["eq8", "near_collinear"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_zero_or_non_finite_gain_raises_typed_error(self, monkeypatch, method, matrix,
+                                                        rotation):
+        # proposed fits on a subband of these mixtures, so every gain is tried
+        for name in ("fastica", "sobi"):
+            fit = getattr(pipeline, name)
+            monkeypatch.setattr(pipeline, name, lambda *args, fit=fit: replace(
+                fit(*args), rotation=np.array(rotation)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError):
+                separate(*_speechlike_mixture(4096, matrix), method)
 
 
 def _separate(method, x1, x2):
