@@ -183,12 +183,11 @@ def build_cb_tree(fs_hz: int = PIPELINE_RATE_HZ) -> CbTree:
 
 def walk(x, tree: CbTree, filters: FilterPair):
     """Depth-first walk of the tree over (..., N) data, yielding (node,
-    coeffs) for every node, the root (x itself) first, then each node's
-    lower subtree before its upper one. A yielded block is valid only until
-    the walk is advanced: a node's block is filtered just before its
-    subtree is walked and reused once that subtree is done, so only the
-    current path is alive and five buffers of x's shape, one per tree
-    level, serve the 32 nodes below the root. x itself is never written.
+    coeffs) for every node, the root (x itself, never written) first; below
+    each node the child with fewer levels under it comes first, on a tie the
+    lower band. A yielded block is valid only until the walk advances: each
+    is filtered just before its subtree is walked and reused once its last
+    child is filtered, so four buffers of x's shape serve the other 32 nodes.
 
     Positions are in natural frequency order; when filtering the children
     of a node at an odd frequency position, the low-pass output lands in
@@ -196,22 +195,27 @@ def walk(x, tree: CbTree, filters: FilterPair):
     monotone in frequency.
     """
     x = np.asarray(x, dtype=np.float64)
-    leaves = {(leaf.level, leaf.position) for leaf in tree.leaves}
-    yield from _subtree((0, 0), x, leaves, filters, [])
+    height = {}  # levels below each node; a deeper leaf comes later and wins
+    for leaf in sorted(tree.leaves, key=lambda leaf: leaf.level):
+        height.update({(leaf.level - k, leaf.position >> k): k for k in range(leaf.level + 1)})
+    yield from _subtree((0, 0), x, height, filters, [])
 
 
-def _subtree(node, coeffs, leaves, filters: FilterPair, free):
-    """walk below one node, drawing its children's buffers from free."""
+def _subtree(node, coeffs, height, filters: FilterPair, free):
+    """walk below one node; a block below the root returns to free after its last child."""
     yield node, coeffs
-    if node in leaves:
-        return
     level, position = node
     pair = (filters.g, filters.h) if position % 2 else (filters.h, filters.g)
-    for offset, taps in enumerate(pair):
+    children = sorted([(level + 1, 2 * position + k) for k in (0, 1) if height[node]],
+                      key=height.get)
+    if level and not children:
+        free.append(coeffs)
+    for i, child in enumerate(children):
         out = free.pop() if free else np.empty_like(coeffs)
-        _filter_into(coeffs, taps, level + 1, out)
-        yield from _subtree((level + 1, 2 * position + offset), out, leaves, filters, free)
-        free.append(out)
+        _filter_into(coeffs, pair[child[1] % 2], level + 1, out)
+        if level and i:
+            free.append(coeffs)
+        yield from _subtree(child, out, height, filters, free)
 
 
 def decompose_nodes(signal: Signal, tree: CbTree, filters: FilterPair):

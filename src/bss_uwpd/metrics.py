@@ -10,6 +10,7 @@ least-squares gain fit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ SEG_CEIL_DB = 35.0
 
 def _capped_db(numerator: float, denominator: float) -> float:
     """10 log10(numerator/denominator) of energies, capped to +-300 dB."""
+    if not math.isfinite(numerator + denominator):
+        raise DegenerateInputError("an energy is not finite")
     if numerator <= 0.0 and denominator <= 0.0:
         return 0.0
     if denominator <= 0.0:
@@ -124,12 +127,19 @@ class BssDecomposition:
     collinear: bool = False
 
 
+def _unit(gram):
+    """gram / 4**m and m, 4**m near its largest diagonal: an exact, bit-keeping scale."""
+    m = math.frexp(max(gram[0, 0], gram[1, 1]))[1] // 2
+    return np.ldexp(gram, -2 * m), m
+
+
 def _coefficients(gram, projections, target_index):
     """Target coefficient, span coefficients (None if collinear), collinear flag."""
     target_energy = gram[target_index, target_index]
-    if target_energy <= 0.0:
-        raise DegenerateInputError("target reference carries no energy")
-    collinear = np.linalg.det(gram) <= 1e-12 * gram[0, 0] * gram[1, 1]
+    if not (target_energy > 0.0 and np.isfinite(gram).all()):
+        raise DegenerateInputError("target reference carries no energy, or energies overflow")
+    unit = _unit(gram)[0]
+    collinear = np.linalg.det(unit) <= 1e-12 * unit[0, 0] * unit[1, 1]
     coeffs = None if collinear else np.linalg.solve(gram, projections)
     return projections[target_index] / target_energy, coeffs, collinear
 
@@ -240,15 +250,16 @@ def evaluate_pair(estimates, references) -> MetricsReport:
     """
     arrays, gram, permutation, signs = _align(_samples(*estimates, *references))
     scratch = np.empty(arrays[0].size)
+    unit, m = _unit(gram[2:, 2:])
     per_source = []
     for k, (t, o) in enumerate(((2, 3), (3, 2))):
         i = permutation.index(k)
         projections = signs[i] * gram[i, 2:]
         beta, coeffs, collinear = _coefficients(gram[2:, 2:], projections, k)
         target = beta * projections[k]
-        # the interference is c_o (r_o - (G_to / G_tt) r_t)
-        interference = 0.0 if collinear else coeffs[o - 2] ** 2 * (
-            gram[o, o] - gram[t, o] ** 2 / gram[t, t])
+        # the interference is c_o (r_o - (G_to / G_tt) r_t); no square overflows in unit
+        interference = 0.0 if collinear else math.ldexp(coeffs[o - 2], m) ** 2 * (
+            unit[o - 2, o - 2] - unit[k, o - 2] ** 2 / unit[k, k])
         # signs fold into scalars: distortion, then gain residual r_t - (G_it / G_ii) e
         e, r = arrays[i], arrays[t]
         np.subtract(e, np.multiply(r, signs[i] * beta, out=scratch), out=scratch)

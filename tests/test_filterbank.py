@@ -49,10 +49,22 @@ def roll_step(coeffs, filters, level):
     return approx, detail
 
 
+def subtree_heights(tree):
+    """The number of levels below each node, the most over its leaves."""
+    heights = collections.defaultdict(int)
+    for leaf in tree.leaves:
+        for below in range(leaf.level + 1):
+            node = (leaf.level - below, leaf.position >> below)
+            heights[node] = max(heights[node], below)
+    return heights
+
+
 def pending_walk(x, tree, filters):
     """Reference walk: a stack of pending siblings, each split filtering
-    both children at once with roll_step into fresh arrays."""
+    both children at once with roll_step into fresh arrays; the child with
+    the smaller subtree height is walked first, on a tie the lower band."""
     leaves = {(leaf.level, leaf.position) for leaf in tree.leaves}
+    heights = subtree_heights(tree)
     pending = [((0, 0), x)]
     while pending:
         (level, position), coeffs = pending.pop()
@@ -62,7 +74,10 @@ def pending_walk(x, tree, filters):
             if position % 2 == 1:
                 approx, detail = detail, approx
             lo, hi = (level + 1, 2 * position), (level + 1, 2 * position + 1)
-            pending += [(hi, detail), (lo, approx)]
+            first, second = (lo, approx), (hi, detail)
+            if heights[hi] < heights[lo]:
+                first, second = second, first
+            pending += [second, first]
 
 
 def walked(x, tree, filters):
@@ -281,12 +296,26 @@ class TestDecompose:
                 assert np.array_equal(coeffs[row], singles[row][node])
         assert sorted(seen) == tree.nodes()
 
-    def test_walk_reuses_five_buffers(self, tree, filters):
-        # only the current path is alive: one buffer per level below the root
+    def test_walk_reuses_four_buffers(self, tree, filters):
+        # the shallower subtree is walked first and a parent's block is freed
+        # once its last child is filtered: four of the five levels below the
+        # root, which only the 0-1 kHz quarter reaches
         x = np.random.default_rng(5).standard_normal((2, 300))
         blocks = [coeffs.ctypes.data for _, coeffs in walk(x, tree, filters)]
         assert blocks[0] == x.ctypes.data
-        assert len(blocks) == 33 and len(set(blocks[1:])) == 5
+        assert len(blocks) == 33 and len(set(blocks[1:])) == 4
+        assert x.ctypes.data not in blocks[1:]
+
+    def test_walk_order_walks_the_shallower_subtree_first(self, tree, filters):
+        nodes = [node for node, _ in walk(np.ones(64), tree, filters)]
+        assert sorted(nodes) == tree.nodes() and nodes[0] == (0, 0)
+        # (upper band, lower band) of a split whose upper subtree is shorter
+        for upper, lower in (((1, 1), (1, 0)), ((2, 1), (2, 0)),
+                             ((2, 3), (2, 2)), ((3, 5), (3, 4))):
+            assert nodes.index(upper) < nodes.index(lower)
+        # equal heights keep the lower band first
+        for lower, upper in (((3, 0), (3, 1)), ((3, 6), (3, 7)), ((4, 0), (4, 1))):
+            assert nodes.index(lower) < nodes.index(upper)
 
     @pytest.mark.parametrize("n", [64, 700, 4097, 100003])
     def test_walk_matches_pending_sibling_walk(self, tree, filters, n):
@@ -296,7 +325,7 @@ class TestDecompose:
     @pytest.mark.parametrize("stop", [None, 1, 6, 20])
     def test_walk_holds_no_buffers_once_done(self, tree, filters, stop):
         # with the collector off, a reference cycle would keep the walk's
-        # buffers (five of 1 MiB) after it is consumed or broken off
+        # buffers (four of 1 MiB) after it is consumed or broken off
         x = np.random.default_rng(6).standard_normal((2, 65536))
         enabled = gc.isenabled()
         gc.disable()

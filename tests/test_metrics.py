@@ -1,6 +1,6 @@
 import tracemalloc
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -370,6 +370,68 @@ class TestExtremeEstimateScale:
                 warnings.simplefilter("error")
                 with pytest.raises(DegenerateInputError):
                     scorer(estimates, 1e160 * refs)
+
+
+class TestExtremeReferenceScale:
+    """The collinearity test and the interference energy are taken on the
+    reference Gram block divided by a power of two, so references of any
+    finite scale give the unit-scale scores or a typed error."""
+
+    @staticmethod
+    def _strict(scorer, *args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return scorer(*args)
+
+    @pytest.mark.parametrize("factor", [1e100, 1e150, 2.0**300],
+                             ids=["1e100", "1e150", "2**300"])
+    def test_evaluate_pair_gives_unit_scale_report(self, factor):
+        estimates, refs = TestExtremeEstimateScale._case()
+        base = self._strict(evaluate_pair, estimates, refs)
+        report = self._strict(evaluate_pair, estimates, factor * refs)
+        assert (report.permutation, report.signs) == (base.permutation, base.signs)
+        if factor == 2.0**300:
+            assert report == base
+        for got, want in zip(report.per_source, base.per_source):
+            assert np.allclose(astuple(got), astuple(want), rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("factor", [1e100, 1e-100, 1e150, 1e-150, 2.0**300, 2.0**-300],
+                             ids=["1e100", "1e-100", "1e150", "1e-150", "2**300", "2**-300"])
+    def test_bss_decompose_keeps_its_split(self, factor):
+        estimates, refs = TestExtremeEstimateScale._case()
+        for target in (0, 1):
+            base = self._strict(bss_decompose, estimates[0], refs, target)
+            got = self._strict(bss_decompose, estimates[0], factor * refs, target)
+            assert not got.collinear and not base.collinear
+            for part, want in zip(astuple(got)[:3], astuple(base)[:3]):
+                if np.log2(factor).is_integer():
+                    assert part.tobytes() == want.tobytes()
+                assert np.allclose(part, want, rtol=0.0, atol=1e-12)
+            assert abs(sir(got) - sir(base)) < 1e-9
+
+    @pytest.mark.parametrize("factor", [2.0**600, 2.0**-600], ids=["2**600", "2**-600"])
+    def test_out_of_range_references_raise_typed_error(self, factor):
+        estimates, refs = TestExtremeEstimateScale._case()
+        with pytest.raises(DegenerateInputError):
+            self._strict(evaluate_pair, estimates, factor * refs)
+        with pytest.raises(DegenerateInputError):
+            self._strict(bss_decompose, estimates[0], factor * refs, 0)
+
+    def test_references_silent_in_every_frame_raise_typed_error(self):
+        # the segmental SNR's voiced floor is absolute: 1e-100 references
+        # carry less than 1e-12 in every frame
+        estimates, refs = TestExtremeEstimateScale._case()
+        with pytest.raises(DegenerateInputError, match="silent in every frame"):
+            self._strict(evaluate_pair, estimates, 1e-100 * refs)
+
+    def test_infinite_energy_raises_typed_error(self):
+        estimates, refs = TestExtremeEstimateScale._case()
+        split = bss_decompose(estimates[0], refs, 0)
+        huge = replace(split, s_target=np.full_like(split.s_target, 1e200))
+        with np.errstate(over="ignore"):
+            for score in (sir, sdr):
+                with pytest.raises(DegenerateInputError, match="not finite"):
+                    score(huge)
 
 
 class TestEvaluatePair:
