@@ -229,14 +229,12 @@ def mix(sources, a: MixingMatrix):
     return Signal(mixed[0], rate), Signal(mixed[1], rate)
 
 
-def synth_source(kind: str, n: int, seed: int, pole: float = 0.9,
-                 freq_hz: float = 440.0) -> Signal:
+def synth_source(kind: str, n: int, seed: int, pole: float = 0.9) -> Signal:
     """Generate a deterministic unit-variance test source at 8000 Hz.
 
-    kind is one of "laplacian", "uniform", "gaussian", "ar1" (first-order
-    autoregression with the given pole), or "sine" (given frequency with a
-    seeded random phase). The output is centered and scaled to unit sample
-    variance.
+    kind is one of "laplacian", "uniform", "gaussian" or "ar1" (first-order
+    autoregression with the given pole). The output is centered and scaled
+    to unit sample variance.
     """
     if n < 1:
         raise ParameterError("sample count must be >= 1")
@@ -255,15 +253,6 @@ def synth_source(kind: str, n: int, seed: int, pole: float = 0.9,
         # y[t] = pole * y[t-1] + noise[t] from y[-1] = 0, as lfilter runs it
         ar = accumulate(noise.tolist(), lambda y, v: pole * y + v, initial=0.0)
         samples = np.fromiter(ar, np.float64, n + burn_in + 1)[burn_in + 1 :]
-    elif kind == "sine":
-        if not 0.0 < freq_hz < PIPELINE_RATE_HZ / 2:
-            raise ParameterError(
-                f"sine frequency must lie in (0, {PIPELINE_RATE_HZ / 2}) Hz, "
-                f"got {freq_hz}"
-            )
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        t = np.arange(n) / PIPELINE_RATE_HZ
-        samples = np.sin(2.0 * np.pi * freq_hz * t + phase)
     else:
         raise ParameterError(f"unknown source kind: {kind!r}")
     samples = samples - samples.mean()

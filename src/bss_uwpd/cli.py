@@ -11,10 +11,10 @@ Subcommands
                 emit one combined report (text table + JSON lines)
 
 All artifacts are written atomically (temp file + rename) and contain no
-timestamps, so a fixed seed reproduces byte-identical outputs. The seed
-falls back to the BSS_UWPD_SEED environment variable, then IcaOptions'
-default. A command whose artifact path names one of its own input files,
-or that names one source file twice, writes nothing.
+timestamps, so a fixed seed (by default IcaOptions') reproduces
+byte-identical outputs. A command whose artifact path names one of its own
+input files, or that names one source file twice, writes nothing;
+evaluate refuses collinear references.
 """
 
 from __future__ import annotations
@@ -105,20 +105,9 @@ def _parse_lags(text: str):
 
 
 def _ica_options(args) -> IcaOptions:
-    """Fit options; without --seed the seed is BSS_UWPD_SEED, then IcaOptions' default."""
-    seed = args.seed
-    if seed is None:
-        text = os.environ.get("BSS_UWPD_SEED", str(IcaOptions.seed))
-        try:
-            seed = int(text)
-        except ValueError:
-            raise ParameterError(f"BSS_UWPD_SEED must be an integer, got {text!r}") from None
-    return IcaOptions(
-        contrast=args.contrast,
-        tolerance=args.tol,
-        max_iterations=args.max_iter,
-        seed=seed,
-    )
+    """Fit options from the four flags that add_common defines."""
+    return IcaOptions(contrast=args.contrast, tolerance=args.tol,
+                      max_iterations=args.max_iter, seed=args.seed)
 
 
 def _estimate_names(method: str):
@@ -166,15 +155,11 @@ def _score(method: str, estimate_paths, references):
 
 
 def _format_table(rows) -> str:
-    header = f"{'method':<10} {'source':<10}" + "".join(
-        f" {column:>12}" for column in METRIC_COLUMNS
-    )
+    header = f"{'method':<10} {'source':<10}" + "".join(f" {c:>12}" for c in METRIC_COLUMNS)
     lines = [header, "-" * len(header)]
     for row in rows:
-        lines.append(
-            f"{row['method']:<10} {row['source']:<10}"
-            + "".join(f" {row[column]:>12.2f}" for column in METRIC_COLUMNS)
-        )
+        lines.append(f"{row['method']:<10} {row['source']:<10}"
+                     + "".join(f" {row[c]:>12.2f}" for c in METRIC_COLUMNS))
     return "\n".join(lines)
 
 
@@ -271,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int,
-                       help=f"default: BSS_UWPD_SEED, then {IcaOptions.seed}")
+        p.add_argument("--seed", type=int, default=IcaOptions.seed, help="default: %(default)s")
         p.add_argument("--contrast", choices=CONTRASTS, default=IcaOptions.contrast)
         p.add_argument("--tol", type=float, default=IcaOptions.tolerance)
         p.add_argument("--max-iter", type=int, default=IcaOptions.max_iterations)

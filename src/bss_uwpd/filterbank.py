@@ -102,13 +102,6 @@ class CbTree:
     fs_hz: int
     leaves: tuple
 
-    def nodes(self):
-        """All (level, position) pairs of the tree: leaves plus ancestors."""
-        return sorted(
-            {(leaf.level - k, leaf.position >> k)
-             for leaf in self.leaves for k in range(leaf.level + 1)}
-        )
-
     def band(self, level: int, position: int):
         """Frequency band (low, high) in Hz covered by a node."""
         width = self.fs_hz / 2.0 ** (level + 1)

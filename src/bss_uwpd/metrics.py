@@ -247,6 +247,7 @@ def evaluate_pair(estimates, references) -> MetricsReport:
 
     per_source[k] holds the metrics of the estimate matched to reference k.
     Every score comes from one Gram table of the raw estimates and references.
+    Collinear references raise DegenerateInputError: SIR is undefined there.
     """
     arrays, gram, permutation, signs = _align(_samples(*estimates, *references))
     scratch = np.empty(arrays[0].size)
@@ -256,9 +257,11 @@ def evaluate_pair(estimates, references) -> MetricsReport:
         i = permutation.index(k)
         projections = signs[i] * gram[i, 2:]
         beta, coeffs, collinear = _coefficients(gram[2:, 2:], projections, k)
+        if collinear:
+            raise DegenerateInputError("references are collinear; SIR is undefined")
         target = beta * projections[k]
         # the interference is c_o (r_o - (G_to / G_tt) r_t); no square overflows in unit
-        interference = 0.0 if collinear else math.ldexp(coeffs[o - 2], m) ** 2 * (
+        interference = math.ldexp(coeffs[o - 2], m) ** 2 * (
             unit[o - 2, o - 2] - unit[k, o - 2] ** 2 / unit[k, k])
         # signs fold into scalars: distortion, then gain residual r_t - (G_it / G_ii) e
         e, r = arrays[i], arrays[t]

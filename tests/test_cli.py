@@ -254,6 +254,25 @@ class TestEvaluate:
         assert code == 2
         assert "sample rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spelling", ["same", "link", "copy"])
+    def test_one_reference_named_twice_exits_2(self, tmp_path, speech_wavs, capsys, spelling):
+        # SIR is undefined against collinear references, and a byte copy
+        # of the file gets past any check of its path
+        first, second = speech_wavs[0], tmp_path / "second.wav"
+        if spelling == "same":
+            second = first
+        elif spelling == "link":
+            os.link(first, second)
+        else:
+            second.write_bytes(first.read_bytes())
+        json_path = tmp_path / "rows.jsonl"
+        code = main(["evaluate", *map(str, speech_wavs), str(first), str(second),
+                     "--json", str(json_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "collinear" in captured.err and "Average" not in captured.out
+        assert not json_path.exists()
+
 
 class TestExperiment:
     def test_full_run_report(self, tmp_path, speech_wavs):
@@ -320,32 +339,6 @@ class TestExperiment:
         assert [r["method"] for r in records] == ["proposed", "fastica"]
         assert not (out / "est_sobi_1.wav").exists()
         assert "FAILED sobi" in capsys.readouterr().out
-
-    def test_seed_env_fallback(self, tmp_path, speech_wavs, monkeypatch):
-        monkeypatch.setenv("BSS_UWPD_SEED", "123")
-        out = tmp_path / "exp"
-        code = main(["experiment", str(speech_wavs[0]), str(speech_wavs[1]),
-                     "--methods", "sobi", "--out", str(out)])
-        assert code == 0
-        record = json.loads((out / "runs.jsonl").read_text().splitlines()[0])
-        assert record["seed"] == 123
-
-    def test_bad_seed_env_fails_only_where_a_seed_is_used(
-        self, tmp_path, speech_wavs, monkeypatch, capsys
-    ):
-        monkeypatch.setenv("BSS_UWPD_SEED", "abc")
-        mixdir = tmp_path / "mix"
-        assert main(["mix", *map(str, speech_wavs), "--out", str(mixdir)]) == 0
-        assert main(["evaluate", *map(str, speech_wavs), *map(str, speech_wavs)]) == 0
-        capsys.readouterr()
-        for argv in (
-            ["separate", str(mixdir / "mix1.wav"), str(mixdir / "mix2.wav"),
-             "--method", "sobi", "--out", str(tmp_path / "sep")],
-            ["experiment", *map(str, speech_wavs), "--out", str(tmp_path / "exp")],
-        ):
-            assert main(argv) == 2
-            assert "BSS_UWPD_SEED" in capsys.readouterr().err
-        assert not (tmp_path / "sep").exists() and not (tmp_path / "exp").exists()
 
     def test_single_method_section(self, tmp_path, speech_wavs):
         out = tmp_path / "exp"
@@ -539,9 +532,7 @@ class TestParserReuse:
         assert main(["evaluate", *paths, *paths]) == 0
 
     @pytest.mark.parametrize("method", ["fastica", "sobi"])
-    def test_options_do_not_leak_into_later_calls(self, tmp_path, mixture_dir, monkeypatch,
-                                                  method):
-        monkeypatch.delenv("BSS_UWPD_SEED", raising=False)
+    def test_options_do_not_leak_into_later_calls(self, tmp_path, mixture_dir, method):
         mixes = [str(mixture_dir / "mix1.wav"), str(mixture_dir / "mix2.wav")]
         options = ([], ["--seed", "7", "--contrast", "cube", "--lags", "1-5"], [])
         outs = [tmp_path / f"sep{k}" for k in range(3)]

@@ -6,19 +6,25 @@ import numpy as np
 import pytest
 
 from bss_uwpd import (
+    METHODS,
     DegenerateInputError,
     DimensionError,
+    MixingMatrix,
     ParameterError,
     Signal,
     UnsupportedRateError,
     align,
     bss_decompose,
     evaluate_pair,
+    mix,
     overall_snr,
     sdr,
     segmental_snr,
+    separate,
     sir,
 )
+
+from helpers import EQ8_MATRIX, speechlike_pair
 
 DB10_OF_50 = 16.989700043360187  # 10*log10(50)
 
@@ -491,24 +497,66 @@ def _composed_scores(estimates, references):
     return permutation, signs, rows
 
 
+def _lstsq_sir_sdr(estimates, references):
+    """SIR and SDR in dB of each estimate, aligned by _align_oracle, from
+    np.linalg.lstsq projections (Vincent, Gribonval and Fevotte 2006): the
+    target part projects onto the matched reference, the span part onto
+    both references."""
+    estimates, references = np.asarray(estimates, float), np.asarray(references, float)
+    permutation, signs = _align_oracle(estimates, references)
+    refs = references.T  # one reference per column
+    rows = []
+    for k in range(2):
+        i = permutation.index(k)
+        e = signs[i] * estimates[i]
+        target = refs[:, [k]] @ np.linalg.lstsq(refs[:, [k]], e, rcond=None)[0]
+        span = refs @ np.linalg.lstsq(refs, e, rcond=None)[0]
+        energy = target @ target
+        rows.append((10.0 * np.log10(energy / np.sum((span - target) ** 2)),
+                     10.0 * np.log10(energy / np.sum((e - target) ** 2))))
+    return rows
+
+
 class TestEvaluatePairOracle:
     @pytest.mark.parametrize("n", [256, 257, 383, 4097, 100003])
     @pytest.mark.parametrize("kind", ["mixed", "collinear", "exact"])
     def test_equals_public_functions_composed(self, kind, n):
         estimates, refs = _scoring_case(kind, n)
+        if kind == "collinear":  # SIR is undefined: the references span one direction
+            with pytest.raises(DegenerateInputError, match="collinear"):
+                evaluate_pair(estimates, refs)
+            for k in range(2):
+                split = bss_decompose(estimates[0], refs, k)
+                assert split.collinear and not split.e_interf.any()
+            return
         report = evaluate_pair(estimates, refs)
         permutation, signs, rows = _composed_scores(estimates, refs)
         assert report.permutation == permutation
         assert report.signs == signs
-        if kind != "collinear":
-            assert (permutation, signs) == ((1, 0), (-1, 1))
+        assert (permutation, signs) == ((1, 0), (-1, 1))
         for source, row in zip(report.per_source, rows):
             got = (source.sir_db, source.sdr_db, source.seg_snr_db, source.overall_snr_db)
             assert np.max(np.abs(np.subtract(got, row))) < 1e-9
             if kind == "exact":
                 assert got == (300.0, 300.0, 35.0, 300.0)
-            if kind == "collinear":
-                assert source.sir_db == 300.0
+
+    @pytest.mark.parametrize("n", [256, 257, 383, 4097, 100003])
+    def test_sir_sdr_equal_lstsq_projections(self, n):
+        estimates, refs = _scoring_case("mixed", n)
+        got = [(s.sir_db, s.sdr_db) for s in evaluate_pair(estimates, refs).per_source]
+        assert np.max(np.abs(np.subtract(got, _lstsq_sir_sdr(estimates, refs)))) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("method", METHODS)
+    def test_separated_sir_sdr_equal_lstsq_projections(self, method, seed):
+        sources = speechlike_pair(8192, seed)
+        result = separate(*mix(sources, MixingMatrix(EQ8_MATRIX)), method)
+        estimates = [e.samples for e in result.estimates]
+        refs = [s.samples for s in sources]
+        report = evaluate_pair(estimates, refs)
+        got = [(s.sir_db, s.sdr_db) for s in report.per_source]
+        assert min(s.sir_db for s in report.per_source) > 10.0
+        assert np.max(np.abs(np.subtract(got, _lstsq_sir_sdr(estimates, refs)))) < 1e-9
 
     def test_peak_memory_below_five_signal_lengths(self):
         n = 65536
