@@ -34,7 +34,7 @@ from .audio_io import (MixingMatrix, Signal, atomic_file, decimate_to_8k, mix, r
 from .errors import BssError, DegenerateInputError, ParameterError
 from .metrics import evaluate_pair
 from .pipeline import METHODS, separate
-from .separators import CONTRASTS, DEFAULT_SOBI_LAGS, IcaOptions, check_lags
+from .separators import CONTRASTS, IcaOptions
 
 MIX_PEAK = 0.9
 
@@ -92,22 +92,9 @@ def _parse_matrix(text: str) -> MixingMatrix:
     return MixingMatrix(np.array([[a11, a12], [a21, a22]]))
 
 
-def _parse_lags(text: str):
-    try:
-        if "-" in text and "," not in text:
-            first, last = text.split("-", 1)
-            return check_lags(range(int(first), int(last) + 1))
-        return check_lags(int(p) for p in text.split(","))
-    except ParameterError as exc:  # argparse prints only an ArgumentTypeError's message
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"needs e.g. 1-20 or 1,2,5, got {text!r}") from None
-
-
 def _ica_options(args) -> IcaOptions:
-    """Fit options from the four flags that add_common defines."""
-    return IcaOptions(contrast=args.contrast, tolerance=args.tol,
-                      max_iterations=args.max_iter, seed=args.seed)
+    """Fit options from the two flags that add_common defines."""
+    return IcaOptions(contrast=args.contrast, seed=args.seed)
 
 
 def _estimate_names(method: str):
@@ -115,11 +102,11 @@ def _estimate_names(method: str):
     return [f"est_{method}_{k}.wav" for k in (1, 2)]
 
 
-def _separate_wavs(out: Path, mix_paths, method: str, opts: IcaOptions, lags) -> dict:
+def _separate_wavs(out: Path, mix_paths, method: str, opts: IcaOptions) -> dict:
     """Separate a mixture WAV pair with one method and write its two
     estimates as WAVs peaking at MIX_PEAK; returns its run record. A fit
     that did not converge is warned about on stderr, never in the artifacts."""
-    result = separate(*(read_wav(path) for path in mix_paths), method, opts, lags)
+    result = separate(*(read_wav(path) for path in mix_paths), method, opts)
     model = result.model
     if not model.converged:
         print(f"warning: {method} did not converge in {model.iterations} iterations",
@@ -182,7 +169,7 @@ def cmd_separate(args) -> int:
     records_path = out / "runs.jsonl"
     estimate_paths = [out / name for name in _estimate_names(args.method)]
     _keep_inputs(mix_paths, [records_path, *estimate_paths])
-    record = _separate_wavs(out, mix_paths, args.method, _ica_options(args), args.lags)
+    record = _separate_wavs(out, mix_paths, args.method, _ica_options(args))
     existing = records_path.read_bytes() if records_path.exists() else b""
     with atomic_file(records_path) as handle:
         handle.write(existing + _jsonl([record]).encode())
@@ -230,8 +217,7 @@ def cmd_experiment(args) -> int:
     records, table_rows, failures = [], [], []
     for name in methods:
         try:
-            record = _separate_wavs(out, (out / "mix1.wav", out / "mix2.wav"),
-                                    name, opts, args.lags)
+            record = _separate_wavs(out, (out / "mix1.wav", out / "mix2.wav"), name, opts)
         except BssError as exc:
             failures.append(f"FAILED {name}: {exc}")
             continue
@@ -258,10 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--seed", type=int, default=IcaOptions.seed, help="default: %(default)s")
         p.add_argument("--contrast", choices=CONTRASTS, default=IcaOptions.contrast)
-        p.add_argument("--tol", type=float, default=IcaOptions.tolerance)
-        p.add_argument("--max-iter", type=int, default=IcaOptions.max_iterations)
-        p.add_argument("--lags", type=_parse_lags, default=DEFAULT_SOBI_LAGS,
-                       help="SOBI lags, e.g. 1-20 or 1,2,5")
 
     p_mix = sub.add_parser("mix", help="decimate, mix, and write mixtures")
     p_mix.add_argument("source1")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -54,8 +55,8 @@ def _dot(a, b) -> float:
 
 
 def _samples(*signals):
-    """Each signal's samples as a float array, checked to be finite (a
-    Signal already is) and to share one length; the Signals among them
+    """Each signal's samples as a float array, checked to be 1-D and finite
+    (a Signal already is) and to share one length; the Signals among them
     must share one sample rate."""
     rates = {s.sample_rate_hz for s in signals if isinstance(s, Signal)}
     if len(rates) > 1:
@@ -66,6 +67,8 @@ def _samples(*signals):
             arrays.append(signal.samples)
             continue
         samples = np.asarray(signal, float)
+        if samples.ndim != 1:
+            raise DimensionError(f"a signal must be 1-D, got shape {samples.shape}")
         if not np.all(np.isfinite(samples)):
             raise ParameterError("signal samples must be finite")
         arrays.append(samples)
@@ -82,10 +85,15 @@ def _gram(arrays):
     return gram
 
 
-def _align(arrays):
-    """[e0, e1, r0, r1] with each estimate brought into range by
-    scale_into_range (every metric is invariant to an estimate's scale),
-    their Gram table, then align's rule on G_ij - S_i S_j / N."""
+def _align(estimates, references):
+    """[e0, e1, r0, r1], checked by _samples, with each estimate brought into
+    range by scale_into_range (every metric is invariant to an estimate's
+    scale), their Gram table, then align's rule on G_ij - S_i S_j / N."""
+    estimates, references = tuple(estimates), tuple(references)
+    if len(estimates) != 2 or len(references) != 2:
+        raise DimensionError(f"need 2 estimates and 2 references, got {len(estimates)}"
+                             f" and {len(references)}")
+    arrays = _samples(*estimates, *references)
     extremes = [(arr.min(), arr.max()) for arr in arrays] if arrays[0].size else []
     if not extremes or any(lo == hi for lo, hi in extremes):
         raise DegenerateInputError("zero-variance signal cannot be aligned")
@@ -114,7 +122,7 @@ def align(estimates, references):
     assigned to estimate i and signs[i] is the sign of that correlation.
     A constant signal is rejected.
     """
-    return _align(_samples(*estimates, *references))[2:]
+    return _align(estimates, references)[2:]
 
 
 @dataclass(frozen=True)
@@ -150,9 +158,13 @@ def bss_decompose(estimate, references, target_index: int) -> BssDecomposition:
     s_target is the projection onto the target reference, e_interf the rest
     of the projection onto span{references}, e_artif the remainder. With
     collinear references the interference term is defined as zero and the
-    decomposition is flagged.
+    decomposition is flagged. Two references; target_index is 0 or 1.
     """
+    if not isinstance(target_index, Integral) or target_index not in (0, 1):
+        raise ParameterError(f"target_index must be 0 or 1, got {target_index!r}")
     e, *refs = _samples(estimate, *references)
+    if len(refs) != 2:
+        raise DimensionError(f"need two references, got {len(refs)}")
     projections = np.array([_dot(r, e) for r in refs])
     beta, coeffs, collinear = _coefficients(_gram(refs), projections, target_index)
     s_target = beta * refs[target_index]
@@ -249,7 +261,7 @@ def evaluate_pair(estimates, references) -> MetricsReport:
     Every score comes from one Gram table of the raw estimates and references.
     Collinear references raise DegenerateInputError: SIR is undefined there.
     """
-    arrays, gram, permutation, signs = _align(_samples(*estimates, *references))
+    arrays, gram, permutation, signs = _align(estimates, references)
     scratch = np.empty(arrays[0].size)
     unit, m = _unit(gram[2:, 2:])
     per_source = []

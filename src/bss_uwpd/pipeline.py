@@ -15,7 +15,7 @@ import numpy as np
 from .audio_io import PIPELINE_RATE_HZ, Signal, check_rate, scale_into_range, stack_pair
 from .errors import DegenerateInputError, ParameterError
 from .filterbank import build_cb_tree, db4_filters, walk
-from .separators import DEFAULT_SOBI_LAGS, IcaOptions, UnmixingModel, fastica, sobi
+from .separators import IcaOptions, UnmixingModel, fastica, sobi
 from .stats import (
     NodeScore,
     WhiteningModel,
@@ -109,12 +109,12 @@ def _unit_variance_estimates(model: UnmixingModel, x, fitted_on_x: bool):
     return estimates
 
 
-def separate(x1: Signal, x2: Signal, method: str, opts: IcaOptions | None = None,
-             lags=DEFAULT_SOBI_LAGS) -> SeparationResult:
+def separate(x1: Signal, x2: Signal, method: str,
+             opts: IcaOptions | None = None) -> SeparationResult:
     """Separate two mixtures with one of METHODS: proposed fits FastICA on
     the kurtosis-selected subband, fastica and sobi fit on the mixtures, and
     the model is applied to the mixtures, each estimate scaled to unit
-    variance. opts sets the FastICA fits, lags the SOBI fit.
+    variance. opts sets the FastICA fits.
 
     Unless the mixtures' covariance is ill-conditioned, the unit-variance
     scale is folded into the unmixing matrix by 2x2 algebra, so the
@@ -126,7 +126,7 @@ def separate(x1: Signal, x2: Signal, method: str, opts: IcaOptions | None = None
     selected_node, fitted = None, x
     if method == METHOD_PROPOSED:
         selected_node, fitted = _select_subband(x, build_cb_tree())
-    model = sobi(x, lags) if method == METHOD_SOBI else fastica(fitted, opts)
+    model = sobi(x) if method == METHOD_SOBI else fastica(fitted, opts)
     estimates = _unit_variance_estimates(model, x, fitted is x)
     if e:
         # express the model for the caller's data, undoing the entry scale
@@ -155,9 +155,8 @@ def separate_proposed(x1: Signal, x2: Signal,
 
 
 def separate_baseline(x1: Signal, x2: Signal, method: str,
-                      opts: IcaOptions | None = None,
-                      lags=DEFAULT_SOBI_LAGS) -> SeparationResult:
+                      opts: IcaOptions | None = None) -> SeparationResult:
     """separate with fastica or sobi, the methods fitted on the mixtures."""
     if method == METHOD_PROPOSED:
         raise ParameterError(f"{method!r} is not a baseline method")
-    return separate(x1, x2, method, opts, lags)
+    return separate(x1, x2, method, opts)

@@ -9,7 +9,7 @@ closed-form Givens rotation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
@@ -17,7 +17,10 @@ from .audio_io import set_read_only
 from .errors import DimensionError, ParameterError
 from .stats import BLOCK_COLUMNS, WhiteningModel, affine, as_pair, fit_whitening
 
-DEFAULT_SOBI_LAGS = tuple(range(1, 21))
+# The one fit configuration, read by sobi and fastica at call time
+SOBI_LAGS = tuple(range(1, 21))
+TOLERANCE = 1e-6
+MAX_ITERATIONS = 200
 
 
 # Each contrast takes a block u of w @ z, writes g(u) over it and returns it
@@ -50,23 +53,15 @@ CONTRASTS = tuple(_CONTRASTS)
 
 @dataclass(frozen=True)
 class IcaOptions:
-    """Fixed-point iteration settings."""
+    """FastICA's contrast and the seed of its initial rotation."""
 
     contrast: str = "tanh"
-    tolerance: float = 1e-6
-    max_iterations: int = 200
     seed: int = 42
 
     def __post_init__(self):
         if self.contrast not in _CONTRASTS:
             raise ParameterError(
                 f"contrast must be one of {sorted(_CONTRASTS)}, got {self.contrast!r}"
-            )
-        if not (isinstance(self.tolerance, Real) and 0.0 < self.tolerance < np.inf):
-            raise ParameterError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
-        if not isinstance(self.max_iterations, Integral) or self.max_iterations < 1:
-            raise ParameterError(
-                f"max_iterations must be an integer >= 1, got {self.max_iterations!r}"
             )
         if not isinstance(self.seed, Integral) or self.seed < 0:
             raise ParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
@@ -132,8 +127,8 @@ def fastica(x, opts: IcaOptions | None = None) -> UnmixingModel:
     x is 2-channel data shaped (2, N), N >= 64. After whitening to z, each
     rotation row w is updated as E{z g(w.z)} - E{g'(w.z)} w and the stacked
     rows are re-orthonormalized symmetrically; iteration stops once
-    1 - min |diag(W_new W_old^T)| < tolerance. Non-convergence returns the
-    last iterate flagged converged=False.
+    1 - min |diag(W_new W_old^T)| < TOLERANCE. After MAX_ITERATIONS steps
+    without that, the last iterate is returned flagged converged=False.
     """
     if opts is None:
         opts = IcaOptions()
@@ -143,11 +138,11 @@ def fastica(x, opts: IcaOptions | None = None) -> UnmixingModel:
     rng = np.random.default_rng(opts.seed)
     w = _random_orthonormal(rng)
     converged = False
-    for iterations in range(1, opts.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         w_old = w
         w = _sym_orthogonalize(_fastica_step(w, z, opts.contrast))
         drift = 1.0 - np.min(np.abs(np.diag(w @ w_old.T)))
-        if drift < opts.tolerance:
+        if drift < TOLERANCE:
             converged = True
             break
     return UnmixingModel(
@@ -201,34 +196,23 @@ def _lagged_covariances(z, lags) -> np.ndarray:
     return 0.5 * (r + r.transpose(0, 2, 1))
 
 
-def check_lags(lags) -> tuple:
-    """SOBI lags as a tuple of ints: at least one, each an integer >= 1."""
-    lags = tuple(lags)
-    if not lags or not all(isinstance(lag, Integral) and lag >= 1 for lag in lags):
-        raise ParameterError(f"lags must be one or more integers >= 1, got {lags}")
-    return tuple(int(lag) for lag in lags)
-
-
-def sobi(x, lags=DEFAULT_SOBI_LAGS) -> UnmixingModel:
+def sobi(x) -> UnmixingModel:
     """Second-order blind identification from time-lagged covariances.
 
-    Whitens the data, forms the symmetrized lagged covariance for each lag,
-    and jointly diagonalizes the set. When every lagged covariance is close
+    Whitens the data, forms the symmetrized lagged covariance for each lag
+    of SOBI_LAGS, and jointly diagonalizes the set; the data needs more
+    than 4 * max(SOBI_LAGS) samples. When every lagged covariance is close
     to a scalar multiple of identity (spectrally identical channels) the
     returned model carries ill_conditioned=True.
     """
-    x = as_pair(x, 2, "sobi")
-    n = x.shape[1]
-    lags = check_lags(lags)
-    if max(lags) >= n / 4:
-        raise DimensionError(f"max lag {max(lags)} too large for {n} samples")
+    x = as_pair(x, 4 * max(SOBI_LAGS) + 1, "sobi")
     whitening = fit_whitening(x)
     z = whitening.transform(x)
-    covs = _lagged_covariances(z, lags)
+    covs = _lagged_covariances(z, SOBI_LAGS)
     # distance of each matrix from scalar * identity; below the sampling
     # noise floor second-order statistics cannot identify a rotation
     strength = np.hypot(0.5 * (covs[:, 0, 0] - covs[:, 1, 1]), covs[:, 0, 1]).max()
-    ill = strength < min(0.2, 10.0 / np.sqrt(n))
+    ill = strength < min(0.2, 10.0 / np.sqrt(x.shape[1]))
     v = joint_diagonalize(covs)[0]
     return UnmixingModel(
         whitening=whitening, rotation=v.T, iterations=1, ill_conditioned=bool(ill)

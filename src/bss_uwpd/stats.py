@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import PIPELINE_RATE_HZ, check_rate, set_read_only
-from .errors import DimensionError, SelectionError, SingularDataError
+from .errors import (DegenerateInputError, DimensionError, ParameterError, SelectionError,
+                     SingularDataError)
 
 # Columns per block of a pass over (2, N) data: a block of a pair is 512 KiB,
 # so it stays in L2 while every product that reads it is formed, and a
@@ -179,8 +180,15 @@ def mean_covariance(x):
 
 def fit_whitening(x) -> WhiteningModel:
     """Fit mean and whitening matrix D^(-1/2) E^T from the eigendecomposition
-    of the (biased) sample covariance of 2-channel data shaped (2, N)."""
-    mean, cov = mean_covariance(as_pair(x, 2, "whitening"))
+    of the (biased) sample covariance of 2-channel data shaped (2, N). If it
+    is not finite: ParameterError for non-finite samples, else DegenerateInputError."""
+    x = as_pair(x, 2, "whitening")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, cov = mean_covariance(x)
+    if not np.all(np.isfinite(cov)):
+        if not np.all(np.isfinite(x)):
+            raise ParameterError("samples must be finite")
+        raise DegenerateInputError("sample covariance exceeds the float64 range")
     evals, evecs = np.linalg.eigh(cov)
     if evals[0] <= 1e-12 * evals[-1]:
         raise SingularDataError(

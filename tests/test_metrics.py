@@ -617,3 +617,73 @@ class TestInputChecks:
         ):
             with pytest.raises(UnsupportedRateError, match="share one sample rate"):
                 call()
+
+
+class TestCountsAndShapes:
+    """Two estimates (one for bss_decompose), two 1-D references and a
+    target index of 0 or 1; anything else is a typed error."""
+
+    @staticmethod
+    def _signals():
+        rng = np.random.default_rng(23)
+        r0, r1 = rng.standard_normal((2, 2048))
+        return r0 + 0.3 * r1 + 0.01 * rng.standard_normal(2048), r0, r1
+
+    def test_bss_decompose_rejects_three_references(self):
+        # the third reference used to read SIR 300 dB
+        e, r0, r1 = self._signals()
+        with pytest.raises(DimensionError, match="two references, got 3"):
+            bss_decompose(e, (r0, r1, r0 + r1), 0)
+
+    def test_bss_decompose_rejects_one_reference(self):
+        e, r0, _ = self._signals()
+        with pytest.raises(DimensionError, match="two references, got 1"):
+            bss_decompose(e, (r0,), 0)
+
+    @pytest.mark.parametrize("target_index", [2, -1, 1.0])
+    def test_bss_decompose_target_index_is_0_or_1(self, target_index):
+        e, r0, r1 = self._signals()
+        with pytest.raises(ParameterError, match="target_index must be 0 or 1"):
+            bss_decompose(e, (r0, r1), target_index)
+
+    def test_evaluate_pair_rejects_one_estimate(self):
+        e, r0, r1 = self._signals()
+        with pytest.raises(DimensionError, match="got 1 and 2"):
+            evaluate_pair((e,), (r0, r1))
+
+    def test_evaluate_pair_rejects_three_estimates(self):
+        # they used to raise a wrong "references are collinear"
+        e, r0, r1 = self._signals()
+        with pytest.raises(DimensionError, match="got 3 and 2"):
+            evaluate_pair((e, r1, r0), (r0, r1))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_evaluate_pair_and_align_reject_other_reference_counts(self, count):
+        e, r0, r1 = self._signals()
+        references = (r0, r1, e)[:count]
+        for call in (evaluate_pair, align):
+            with pytest.raises(DimensionError, match=f"got 2 and {count}"):
+                call((e, r1), references)
+
+    def test_iterators_of_two_signals_are_accepted(self):
+        e, r0, r1 = self._signals()
+        want = evaluate_pair((e, r1), (r0, r1))
+        assert evaluate_pair(iter((e, r1)), (x for x in (r0, r1))) == want
+        assert align(iter((e, r1)), iter((r0, r1))) == (want.permutation, want.signs)
+
+    def test_align_rejects_three_estimates(self):
+        e, r0, r1 = self._signals()
+        with pytest.raises(DimensionError, match="got 3 and 2"):
+            align((e, r1, r0), (r0, r1))
+
+    def test_rows_that_are_not_1d_are_rejected(self):
+        e, r0, r1 = self._signals()
+        for call in (
+            lambda: evaluate_pair((e[None], r1[None]), (r0[None], r1[None])),
+            lambda: segmental_snr(e[None], r0[None]),
+            lambda: overall_snr(e[None], r0[None]),
+            lambda: bss_decompose(e[None], (r0, r1), 0),
+            lambda: evaluate_pair((e, r1), np.stack([r0, r1])[:, None]),
+        ):
+            with pytest.raises(DimensionError, match="must be 1-D"):
+                call()
