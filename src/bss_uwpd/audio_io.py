@@ -38,10 +38,16 @@ def check_rate(rate_hz, what: str) -> None:
 
 def set_read_only(obj, **arrays):
     """Set each named field of a frozen dataclass to a read-only float64
-    copy of its array, which the caller's array then cannot change."""
+    array that the caller's array cannot change: the array itself when it
+    is float64 and neither it nor any array under it can write, else a
+    read-only copy."""
     for name, value in arrays.items():
-        value = np.array(value, dtype=np.float64)
-        value.setflags(write=False)
+        base = value
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is not None or type(value) is not np.ndarray or value.dtype != np.float64:
+            value = np.array(value, dtype=np.float64)
+            value.setflags(write=False)
         object.__setattr__(obj, name, value)
 
 

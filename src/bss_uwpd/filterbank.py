@@ -127,9 +127,20 @@ def _filter_into(c, taps, level: int, out):
     delayed = as_strided(c[..., head:], c.shape[:-1] + (last + 1, n - head),
                          c.strides[:-1] + (-shift * step, step), writeable=False)
     body = out[..., head:]
+    # at level 1 the tap stride ties the sample stride, and einsum, looping
+    # over the taps innermost, is 2.5-3x slower: there each tap's products
+    # are added to the block in turn
+    product = np.empty(body[..., :BLOCK_COLUMNS].shape) if level == 1 else None
     for start in range(0, n - head, BLOCK_COLUMNS):
         block = slice(start, start + BLOCK_COLUMNS)
-        np.einsum("k,...kj->...j", taps, delayed[..., block], out=body[..., block])
+        total = body[..., block]
+        if product is None:
+            np.einsum("k,...kj->...j", taps, delayed[..., block], out=total)
+            continue
+        total.fill(0.0)
+        for k in range(last + 1):
+            total += np.multiply(taps[k], delayed[..., k, block],
+                                 out=product[..., : total.shape[-1]])
 
 
 def cbw_at(freq_hz: float) -> float:
@@ -194,21 +205,42 @@ def walk(x, tree: CbTree, filters: FilterPair):
     yield from _subtree((0, 0), x, height, filters, [])
 
 
+def _taps(filters: FilterPair, child):
+    """The taps that filter a node's parent into it: h into the lower band
+    of an even parent, g into its upper band, and swapped below an odd one."""
+    position = child[1]
+    return filters.g if (position ^ (position >> 1)) % 2 else filters.h
+
+
 def _subtree(node, coeffs, height, filters: FilterPair, free):
     """walk below one node; a block below the root returns to free after its last child."""
     yield node, coeffs
     level, position = node
-    pair = (filters.g, filters.h) if position % 2 else (filters.h, filters.g)
     children = sorted([(level + 1, 2 * position + k) for k in (0, 1) if height[node]],
                       key=height.get)
     if level and not children:
         free.append(coeffs)
     for i, child in enumerate(children):
         out = free.pop() if free else np.empty_like(coeffs)
-        _filter_into(coeffs, pair[child[1] % 2], level + 1, out)
+        _filter_into(coeffs, _taps(filters, child), level + 1, out)
         if level and i:
             free.append(coeffs)
         yield from _subtree(child, out, height, filters, free)
+
+
+def node_coeffs(x, node, filters: FilterPair):
+    """The coefficients walk yields for one node of (..., N) data x, bit for
+    bit: x itself for the root, else x filtered down the node's path, one
+    step per level through two alternating buffers of x's shape."""
+    x = np.asarray(x, dtype=np.float64)
+    level, position = node
+    coeffs, spare = x, None
+    for k in range(1, level + 1):
+        out = np.empty_like(x) if spare is None else spare
+        _filter_into(coeffs, _taps(filters, (k, position >> (level - k))), k, out)
+        spare = None if coeffs is x else coeffs
+        coeffs = out
+    return coeffs
 
 
 def decompose_nodes(signal: Signal, tree: CbTree, filters: FilterPair):

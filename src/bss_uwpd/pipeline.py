@@ -14,7 +14,7 @@ import numpy as np
 
 from .audio_io import PIPELINE_RATE_HZ, Signal, check_rate, scale_into_range, stack_pair
 from .errors import DegenerateInputError, ParameterError
-from .filterbank import build_cb_tree, db4_filters, walk
+from .filterbank import build_cb_tree, db4_filters, node_coeffs, walk
 from .separators import IcaOptions, UnmixingModel, fastica, sobi
 from .stats import (
     NodeScore,
@@ -22,7 +22,7 @@ from .stats import (
     affine,
     mean_covariance,
     row_kurtosis,
-    running_best,
+    select_best_node,
 )
 
 METHOD_PROPOSED = "proposed"
@@ -52,19 +52,14 @@ def _stack_pair(x1: Signal, x2: Signal):
 
 
 def _select_subband(x, tree):
-    """The node select_best_node keeps and its block, each node scored as
-    the walk produces it. The root's block is x itself, which the walk never
-    writes; any other block is valid only until the walk advances, so each
-    new leader below the root is copied into one kept buffer."""
-    kept = x
-    scores = (NodeScore(node, *row_kurtosis(coeffs).tolist(), coeffs=coeffs)
-              for node, coeffs in walk(x, tree, db4_filters()))
-    for best in running_best(scores):
-        if best.coeffs is not x:
-            if kept is x:
-                kept = np.empty_like(x)
-            np.copyto(kept, best.coeffs)
-    return best.node, kept
+    """The node select_best_node keeps and its (2, N) coefficients. Each
+    channel is walked on its own, each node scored as the walk produces
+    it; only the winner is then filtered from x down its path, so a root
+    winner's subband is x itself."""
+    filters = db4_filters()
+    ch1, ch2 = ({node: row_kurtosis(c) for node, c in walk(row, tree, filters)} for row in x)
+    best = select_best_node([NodeScore(node, ch1[node], ch2[node]) for node in ch1])
+    return best.node, node_coeffs(x, best.node, filters)
 
 
 # The folded gain is 2x2 algebra on the mixtures' covariance, so it loses
@@ -127,7 +122,11 @@ def separate(x1: Signal, x2: Signal, method: str,
     if method == METHOD_PROPOSED:
         selected_node, fitted = _select_subband(x, build_cb_tree())
     model = sobi(x) if method == METHOD_SOBI else fastica(fitted, opts)
-    estimates = _unit_variance_estimates(model, x, fitted is x)
+    fitted_on_x = fitted is x
+    del fitted  # free a subband before the estimates are allocated
+    estimates = _unit_variance_estimates(model, x, fitted_on_x)
+    # read-only, so each estimate Signal keeps its row without a copy
+    estimates.setflags(write=False)
     if e:
         # express the model for the caller's data, undoing the entry scale
         with np.errstate(over="ignore"):

@@ -158,10 +158,13 @@ def joint_diagonalize(matrices):
     Returns (v, off_history) where v is orthonormal with v.T @ M @ v as
     diagonal as possible for every input M, and off_history holds the
     summed squared off-diagonal energy before and after the rotation.
+    A matrix with a NaN or infinite entry raises ParameterError.
     """
     a = np.asarray(matrices, dtype=np.float64)
     if a.shape[1:] != (2, 2) or len(a) == 0:
         raise DimensionError(f"expected a stack of 2x2 matrices, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ParameterError("matrices must be finite")
     h1 = a[:, 0, 0] - a[:, 1, 1]
     h2 = a[:, 0, 1] + a[:, 1, 0]
     gram = np.array([[h1 @ h1, h1 @ h2], [h2 @ h1, h2 @ h2]])

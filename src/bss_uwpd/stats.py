@@ -8,7 +8,8 @@ two mixture channels are jointly most non-Gaussian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,49 +26,46 @@ from .errors import (DegenerateInputError, DimensionError, ParameterError, Selec
 # sums, and the fitted models, are the same on every run.
 BLOCK_COLUMNS = 32768
 
-# Columns per block of row_kurtosis: the scratch of a (2, N) pair is 256 KiB,
-# and as the width does not depend on the row count, a row's block sums are
-# the same in any array shape.
+# Columns per block of row_kurtosis: the scratch of a 480000-sample row is
+# 128 KiB, and the block sums repeat bit for bit at any length.
 _KURTOSIS_COLUMNS = 16384
 
 
-def row_kurtosis(c) -> np.ndarray:
-    """Excess kurtosis of each row of (..., N) data along its last axis,
-    after centering and scaling to unit variance; NaN for a row with zero
-    or non-finite variance. Biased (1/N) moment estimators throughout.
-    Past the mean, the moments are summed over column blocks through one
-    small scratch array, so no temporary of the input's size is made."""
+def row_kurtosis(c) -> float:
+    """Excess kurtosis of one row of 1-D data, after centering and scaling
+    to unit variance; NaN for zero or non-finite variance. Biased (1/N)
+    moment estimators throughout. Past the mean, the moments are summed as
+    Python floats over column blocks through one small scratch array, so no
+    temporary of the input's size is made."""
     c = np.asarray(c, dtype=np.float64)
-    n = c.shape[-1]
+    if c.ndim != 1:
+        raise DimensionError(f"kurtosis takes one row of samples, got shape {c.shape}")
+    n = c.size
     if n < 4:
         raise DimensionError(f"kurtosis needs >= 4 samples, got {n}")
-    m2 = np.zeros(c.shape[:-1])
-    m4 = np.zeros(c.shape[:-1])
+    m2 = m4 = 0.0
     # a row whose moments leave the float64 range scores NaN, unwarned
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # mean's pairwise sums give a row the same value in any array shape
-        mean = c.mean(axis=-1, keepdims=True)
-        for _, sq in centred_blocks(c, mean, _KURTOSIS_COLUMNS):
+        for _, sq in centred_blocks(c, c.mean(), _KURTOSIS_COLUMNS):
             np.multiply(sq, sq, out=sq)
-            m2 += sq.sum(axis=-1)
+            m2 += float(sq.sum())
             np.multiply(sq, sq, out=sq)
-            m4 += sq.sum(axis=-1)
+            m4 += float(sq.sum())
         m2 /= n
-        m4 /= n
-        usable = np.isfinite(m2) & (m2 > 0.0)
-        return np.where(usable, m4 / (m2 * m2) - 3.0, np.nan)
+        if not 0.0 < m2 < math.inf:
+            return math.nan
+        # a variance below about 1e-162 squares to 0: the ratio is inf or NaN
+        return float(np.float64(m4 / n) / (m2 * m2)) - 3.0
 
 
 @dataclass(frozen=True)
 class NodeScore:
     """Per-channel kurtosis of one tree node; combined = min over channels,
-    NaN when either channel is degenerate. coeffs may carry the node's
-    coefficients through a streamed selection."""
+    NaN when either channel is degenerate."""
 
     node: tuple
     kurtosis_ch1: float
     kurtosis_ch2: float
-    coeffs: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def combined(self) -> float:
@@ -78,42 +76,27 @@ def score_nodes(coeffs_ch1, coeffs_ch2):
     """Kurtosis scores for every node present in both channel coefficient
     maps. Degenerate (zero-variance) channels score NaN."""
     return [
-        NodeScore(
-            node, *(float(row_kurtosis(c[node])) for c in (coeffs_ch1, coeffs_ch2))
-        )
+        NodeScore(node, row_kurtosis(coeffs_ch1[node]), row_kurtosis(coeffs_ch2[node]))
         for node in sorted(set(coeffs_ch1) & set(coeffs_ch2))
     ]
 
 
-def running_best(scores):
-    """Yield each score that ranks above every score before it, ranking by
-    the combined (min-over-channels) kurtosis, highest first; ties go to the
-    lower band (position / 2**level, its low edge over Fs/2), then the
-    shallower node. Nodes without finite scores on both channels are
-    skipped. scores may be any iterable and is drawn lazily, so a caller can
-    keep a leader's coeffs before the next score is made. Raises
-    SelectionError once scores is exhausted if nothing was yielded."""
+def select_best_node(scores, fs_hz: int = PIPELINE_RATE_HZ) -> NodeScore:
+    """The best of the scores of a tree at fs_hz, which must be 8000 Hz:
+    the highest combined (min-over-channels) kurtosis; ties go to the lower
+    band (position / 2**level, its low edge over Fs/2), then the shallower
+    node. Nodes without finite scores on both channels are skipped; raises
+    SelectionError if that leaves none."""
+    check_rate(fs_hz, "node selection")
 
     def rank(s):
         level, position = s.node
         return -s.combined, position / 2**level, level
 
-    best = None
-    for s in scores:
-        if np.isfinite(s.combined) and (best is None or rank(s) < rank(best)):
-            best = s
-            yield s
-    if best is None:
+    finite = [s for s in scores if np.isfinite(s.combined)]
+    if not finite:
         raise SelectionError("every node scored as degenerate on some channel")
-
-
-def select_best_node(scores, fs_hz: int = PIPELINE_RATE_HZ) -> NodeScore:
-    """The last score running_best yields: the best node of the iterable,
-    for scores of a tree at fs_hz, which must be 8000 Hz."""
-    check_rate(fs_hz, "node selection")
-    for best in running_best(scores):
-        pass
-    return best
+    return min(finite, key=rank)
 
 
 @dataclass(frozen=True)
@@ -181,7 +164,9 @@ def mean_covariance(x):
 def fit_whitening(x) -> WhiteningModel:
     """Fit mean and whitening matrix D^(-1/2) E^T from the eigendecomposition
     of the (biased) sample covariance of 2-channel data shaped (2, N). If it
-    is not finite: ParameterError for non-finite samples, else DegenerateInputError."""
+    is not finite: ParameterError for non-finite samples, else DegenerateInputError.
+    If it is singular: DegenerateInputError when non-zero samples peak
+    below 2**-64, where it underflows, else SingularDataError."""
     x = as_pair(x, 2, "whitening")
     with np.errstate(over="ignore", invalid="ignore"):
         mean, cov = mean_covariance(x)
@@ -191,6 +176,12 @@ def fit_whitening(x) -> WhiteningModel:
         raise DegenerateInputError("sample covariance exceeds the float64 range")
     evals, evecs = np.linalg.eigh(cov)
     if evals[0] <= 1e-12 * evals[-1]:
+        peak = max(x.max(), -x.min())
+        if 0.0 < peak < 2.0**-64:
+            raise DegenerateInputError(
+                f"samples peak at {peak:.3g}, below 2**-64, where their covariance "
+                "underflows; scale them up"
+            )
         raise SingularDataError(
             "covariance is rank-deficient; channels are (nearly) collinear"
         )

@@ -384,3 +384,28 @@ def test_array_fields_are_read_only_copies(case):
         field[0] = 7.0
     given[...] = 7.0
     assert np.array_equal(field, values)
+
+
+@pytest.mark.parametrize("case", list(_ARRAY_FIELDS))
+def test_read_only_view_of_a_writable_array_is_copied(case):
+    build, name, values = _ARRAY_FIELDS[case]
+    given = np.array(values)
+    view = given[...]
+    view.setflags(write=False)
+    field = getattr(build(view), name)
+    given[...] = 7.0
+    assert np.array_equal(field, values)
+
+
+def test_frozen_float64_array_is_kept_without_a_copy():
+    # neither the rows nor the array under them can write
+    frozen = np.array([[0.5, -0.25, 1.0], [2.0, 0.0, -1.5]])
+    frozen.setflags(write=False)
+    signals = [Signal(row, 8000) for row in frozen]
+    assert all(s.samples.base is frozen for s in signals)
+    # another dtype is converted into a read-only float64 copy
+    narrow = frozen.astype(np.float32)
+    narrow.setflags(write=False)
+    samples = Signal(narrow[0], 8000).samples
+    assert samples.dtype == np.float64 and not samples.flags.writeable
+    assert not np.shares_memory(samples, narrow)

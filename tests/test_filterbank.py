@@ -15,6 +15,7 @@ from bss_uwpd import (
     decompose_nodes,
     walk,
 )
+from bss_uwpd.filterbank import node_coeffs
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +186,16 @@ class TestUwpdStep:
                 if node in stacked:
                     assert stacked[node][row].tobytes() == want.tobytes()
 
+    def test_level_one_row_across_column_blocks_matches_roll_bytes(self, tree, filters):
+        # level 1 adds one tap's products at a time per block, not einsum;
+        # 70000 columns of one row span three column blocks of the step
+        x = np.random.default_rng(41000).standard_normal(70000)
+        want = roll_step(x, filters, 1)
+        level_one = [(node, c.copy()) for node, c in walk(x, tree, filters) if node[0] == 1]
+        assert [node for node, _ in level_one] == [(1, 1), (1, 0)]
+        for (_, got), expected in zip(level_one, want[::-1]):
+            assert got.tobytes() == expected.tobytes()
+
     def test_empty_input(self, tree, filters):
         for x in (np.array([]), np.empty((2, 0))):
             with pytest.raises(DimensionError):
@@ -341,3 +352,28 @@ class TestDecompose:
             if enabled:
                 gc.enable()
         assert held < x.nbytes
+
+
+class TestNodeCoeffs:
+    @pytest.mark.parametrize("shape", [(700,), (2, 700), (2, 70000)])
+    def test_every_node_equals_the_walk_bytes(self, tree, filters, shape):
+        x = np.random.default_rng(len(shape) + shape[-1]).standard_normal(shape)
+        for node, coeffs in walked(x, tree, filters).items():
+            got = node_coeffs(x, node, filters)
+            assert got.shape == x.shape
+            assert got.tobytes() == coeffs.tobytes()
+
+    def test_root_is_the_input_itself(self, filters):
+        x = np.random.default_rng(3).standard_normal((2, 64))
+        assert node_coeffs(x, (0, 0), filters) is x
+
+    def test_holds_two_buffers(self, filters):
+        # a level-5 node: the returned block and one spare, both of x's shape
+        x = np.random.default_rng(4).standard_normal((2, 65536))
+        tracemalloc.start()
+        try:
+            node_coeffs(x, (5, 0), filters)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * x.nbytes

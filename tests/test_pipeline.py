@@ -298,19 +298,33 @@ class TestStreamedSelection:
 
     def test_peak_memory_is_bounded(self):
         # every node of both channels alive at once would be 33 blocks of
-        # 2N floats; the stacked input, the kept subband (a node below the
-        # root wins here) and the walk's four recycled buffers make about
-        # 6.3, where a fifth walk buffer would make about 7.3
+        # 2N floats. proposed holds the stacked input and one channel's walk
+        # (four buffers of N, 2 blocks), then the input and the two path
+        # buffers; the subband is dropped once fitted, about 3.5 blocks in
+        # all (6.3 when the walk ran over both channels at once). fastica and
+        # sobi hold the input and the shared estimates, about 2.5 (3.0 when
+        # each estimate Signal copied its row).
         n = 65536
         x1, x2 = mix(speechlike_pair(n, seed=0), A)
-        tracemalloc.start()
-        try:
-            result = separate_proposed(x1, x2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert result.selected_node != (0, 0)
-        assert peak < 6.75 * 2 * n * 8
+        for method, blocks in ((METHOD_PROPOSED, 4.0), (METHOD_FASTICA, 2.75),
+                               (METHOD_SOBI, 2.75)):
+            tracemalloc.start()
+            try:
+                result = separate(x1, x2, method)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert method != METHOD_PROPOSED or result.selected_node != (0, 0)
+            assert peak < blocks * 2 * n * 8, method
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_estimates_share_one_read_only_buffer(self, method):
+        x1, x2 = mix(speechlike_pair(8192, seed=1), A)
+        e1, e2 = separate(x1, x2, method).estimates
+        shared = e1.samples.base
+        assert shared is not None and shared is e2.samples.base
+        assert shared.shape == (2, 8192) and not shared.flags.writeable
+        assert shared.base is None
 
 
 class TestBaselines:

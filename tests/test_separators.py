@@ -155,6 +155,15 @@ class TestSobi:
             with pytest.raises(DimensionError):
                 joint_diagonalize(mats)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_matrices(self, bad):
+        # a NaN used to give a NaN rotation, an inf numpy's RuntimeWarning
+        for where in ((0, 0, 0), (1, 0, 1)):
+            mats = np.array([np.diag([0.8, 0.2]), np.eye(2)])
+            mats[where] = bad
+            with pytest.raises(ParameterError, match="finite"):
+                joint_diagonalize(mats)
+
     def test_single_rotation_reported(self):
         x, _ = _mixed("ar1", "ar1", pole=0.5)
         assert sobi(x).iterations == 1

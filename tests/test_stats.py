@@ -6,6 +6,7 @@ import pytest
 from scipy import stats as sps
 
 from bss_uwpd import (
+    DegenerateInputError,
     DimensionError,
     SelectionError,
     SingularDataError,
@@ -58,7 +59,6 @@ class TestKurtosis:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.isnan(row_kurtosis(y))
-            assert np.isnan(row_kurtosis(np.vstack([y, y]))).all()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_samples(self, bad):
@@ -70,18 +70,22 @@ class TestKurtosis:
 class TestRowKurtosis:
     # the column blocks hold 16384 samples: straddle one and span several
     @pytest.mark.parametrize("n", [16383, 16384, 16385, 100003])
-    def test_stacked_rows_equal_single_rows_and_scipy(self, n):
+    def test_matches_scipy(self, n):
         rng = np.random.default_rng(n)
-        x = np.vstack([rng.laplace(size=n), 3.0 + 0.01 * rng.standard_normal(n)])
-        stacked = row_kurtosis(x)
-        for row in range(2):
-            single = row_kurtosis(x[row])
-            assert stacked[row].tobytes() == single.tobytes()
-            expected = sps.kurtosis(x[row], fisher=True, bias=True)
-            assert abs(single - expected) <= 1e-14 * (expected + 3.0)
+        for y in (rng.laplace(size=n), 3.0 + 0.01 * rng.standard_normal(n)):
+            got = row_kurtosis(y)
+            assert type(got) is float
+            expected = sps.kurtosis(y, fisher=True, bias=True)
+            assert abs(got - expected) <= 1e-14 * (expected + 3.0)
+
+    def test_takes_one_row_only(self):
+        rng = np.random.default_rng(8)
+        for x in (rng.standard_normal((2, 64)), rng.standard_normal((1, 64)), np.float64(1.0)):
+            with pytest.raises(DimensionError):
+                row_kurtosis(x)
 
     def test_no_temporary_of_input_size(self):
-        x = np.random.default_rng(7).standard_normal((2, 65536))
+        x = np.random.default_rng(7).standard_normal(131072)
         tracemalloc.start()
         try:
             row_kurtosis(x)
@@ -195,3 +199,14 @@ class TestWhitening:
         row = rng.standard_normal(512)
         with pytest.raises(SingularDataError):
             fit_whitening(np.vstack([row, 2.0 * row]))
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-200])
+    def test_underflowing_covariance_names_the_scale(self, scale):
+        # independent rows whose covariance underflows to zero or subnormals
+        x = scale * np.random.default_rng(14).laplace(size=(2, 4096))
+        with pytest.raises(DegenerateInputError, match=r"peak at .*2\*\*-64"):
+            fit_whitening(x)
+        # all-zero data has a singular covariance, not an underflowed one
+        with pytest.raises(SingularDataError):
+            fit_whitening(np.zeros((2, 4096)))
+        assert np.all(np.isfinite(fit_whitening(x / scale * 1e-160).matrix))
