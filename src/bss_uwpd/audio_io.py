@@ -198,17 +198,22 @@ def decimate_to_8k(signal: Signal) -> Signal:
     return Signal(filtered[::factor], PIPELINE_RATE_HZ)
 
 
-def stack_pair(signals):
-    """The samples of two Signals as (2, N) data, and their rate. Raises
+def pair_rate(s1: Signal, s2: Signal) -> int:
+    """The rate of two Signals of one rate and length. Raises
     UnsupportedRateError if the rates differ, DimensionError if the lengths do."""
-    s1, s2 = signals
     if s1.sample_rate_hz != s2.sample_rate_hz:
         raise UnsupportedRateError(
             f"signal rates differ: {s1.sample_rate_hz} vs {s2.sample_rate_hz} Hz"
         )
     if len(s1) != len(s2):
         raise DimensionError(f"signal lengths differ: {len(s1)} vs {len(s2)}")
-    return np.vstack([s1.samples, s2.samples]), s1.sample_rate_hz
+    return s1.sample_rate_hz
+
+
+def stack_pair(signals):
+    """The samples of two Signals (checked by pair_rate) as (2, N) data, and their rate."""
+    rate = pair_rate(*signals)
+    return np.vstack([s.samples for s in signals]), rate
 
 
 # A peak outside [2**-64, 2**64) is brought to [0.5, 1) before any statistic

@@ -228,18 +228,23 @@ def _subtree(node, coeffs, height, filters: FilterPair, free):
         yield from _subtree(child, out, height, filters, free)
 
 
-def node_coeffs(x, node, filters: FilterPair):
-    """The coefficients walk yields for one node of (..., N) data x, bit for
-    bit: x itself for the root, else x filtered down the node's path, one
-    step per level through two alternating buffers of x's shape."""
-    x = np.asarray(x, dtype=np.float64)
+def node_coeffs(rows, node, filters: FilterPair):
+    """The coefficients walk yields for one node of the stack of rows
+    (equal-length 1-D rows, such as (2, N) data), bit for bit: the stack
+    itself for the root (rows, if an array), else the stack filtered down
+    the node's path. The first step filters each row into its row of a
+    buffer, and each later step alternates between two of that shape."""
     level, position = node
-    coeffs, spare = x, None
-    for k in range(1, level + 1):
-        out = np.empty_like(x) if spare is None else spare
+    if not level:
+        return np.asarray(rows, dtype=np.float64)
+    coeffs, spare = np.empty((len(rows), len(rows[0]))), None
+    for row, out in zip(rows, coeffs):
+        _filter_into(np.asarray(row, dtype=np.float64),
+                     _taps(filters, (1, position >> (level - 1))), 1, out)
+    for k in range(2, level + 1):
+        out = np.empty_like(coeffs) if spare is None else spare
         _filter_into(coeffs, _taps(filters, (k, position >> (level - k))), k, out)
-        spare = None if coeffs is x else coeffs
-        coeffs = out
+        spare, coeffs = coeffs, out
     return coeffs
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .audio_io import PIPELINE_RATE_HZ, Signal, check_rate, scale_into_range, stack_pair
+from .audio_io import PIPELINE_RATE_HZ, Signal, check_rate, pair_rate, scale_into_range
 from .errors import DegenerateInputError, ParameterError
 from .filterbank import build_cb_tree, db4_filters, node_coeffs, walk
 from .separators import IcaOptions, UnmixingModel, fastica, sobi
@@ -42,24 +42,23 @@ class SeparationResult:
     method: str
 
 
-def _stack_pair(x1: Signal, x2: Signal):
-    """The pair (checked by stack_pair, at 8000 Hz) as (2, N) data brought
-    into range by scale_into_range, and its exponent e; every method's
-    estimates are invariant to the scale 2**-e."""
-    x, rate = stack_pair((x1, x2))
-    check_rate(rate, "the pipeline")
-    return scale_into_range(x, max(x.max(), -x.min()))
+def _scaled_rows(x1: Signal, x2: Signal):
+    """The pair's two rows (checked by pair_rate, at 8000 Hz), each brought
+    into range by scale_into_range of the pair's peak, and its exponent e;
+    every method's estimates are invariant to the scale 2**-e. Unscaled
+    rows are the Signals' own samples."""
+    check_rate(pair_rate(x1, x2), "the pipeline")
+    rows = x1.samples, x2.samples
+    peak = max(max(row.max(), -row.min()) for row in rows)
+    (row1, e), (row2, _) = (scale_into_range(row, peak) for row in rows)
+    return (row1, row2), e
 
 
-def _select_subband(x, tree):
-    """The node select_best_node keeps and its (2, N) coefficients. Each
-    channel is walked on its own, each node scored as the walk produces
-    it; only the winner is then filtered from x down its path, so a root
-    winner's subband is x itself."""
-    filters = db4_filters()
-    ch1, ch2 = ({node: row_kurtosis(c) for node, c in walk(row, tree, filters)} for row in x)
-    best = select_best_node([NodeScore(node, ch1[node], ch2[node]) for node in ch1])
-    return best.node, node_coeffs(x, best.node, filters)
+def _select_node(rows, tree, filters):
+    """The node select_best_node keeps, each row walked on its own and each
+    node scored as the walk produces it."""
+    ch1, ch2 = ({node: row_kurtosis(c) for node, c in walk(row, tree, filters)} for row in rows)
+    return select_best_node([NodeScore(node, ch1[node], ch2[node]) for node in ch1]).node
 
 
 # The folded gain is 2x2 algebra on the mixtures' covariance, so it loses
@@ -117,13 +116,19 @@ def separate(x1: Signal, x2: Signal, method: str,
     by its measured std."""
     if method not in METHODS:
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
-    x, e = _stack_pair(x1, x2)
-    selected_node, fitted = None, x
+    rows, e = _scaled_rows(x1, x2)
+    selected_node = model = None
     if method == METHOD_PROPOSED:
-        selected_node, fitted = _select_subband(x, build_cb_tree())
-    model = sobi(x) if method == METHOD_SOBI else fastica(fitted, opts)
-    fitted_on_x = fitted is x
-    del fitted  # free a subband before the estimates are allocated
+        filters = db4_filters()
+        selected_node = _select_node(rows, build_cb_tree(), filters)
+        if selected_node != (0, 0):
+            # the winner's subband is fitted and dropped before the pair is stacked
+            model = fastica(node_coeffs(rows, selected_node, filters), opts)
+    x = np.vstack(rows)
+    del rows  # free scaled rows before the estimates are allocated
+    fitted_on_x = model is None
+    if fitted_on_x:
+        model = sobi(x) if method == METHOD_SOBI else fastica(x, opts)
     estimates = _unit_variance_estimates(model, x, fitted_on_x)
     # read-only, so each estimate Signal keeps its row without a copy
     estimates.setflags(write=False)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import PIPELINE_RATE_HZ, check_rate, set_read_only
+from .audio_io import PIPELINE_RATE_HZ, check_rate, scale_into_range, set_read_only
 from .errors import (DegenerateInputError, DimensionError, ParameterError, SelectionError,
                      SingularDataError)
 
@@ -31,31 +31,39 @@ BLOCK_COLUMNS = 32768
 _KURTOSIS_COLUMNS = 16384
 
 
+def _central_moments(c):
+    """The biased second and fourth central moments of a 1-D row, summed as
+    Python floats over column blocks through one small scratch array."""
+    m2 = m4 = 0.0
+    for _, sq in centred_blocks(c, c.mean(), _KURTOSIS_COLUMNS):
+        np.multiply(sq, sq, out=sq)
+        m2 += float(sq.sum())
+        np.multiply(sq, sq, out=sq)
+        m4 += float(sq.sum())
+    return m2 / c.size, m4 / c.size
+
+
 def row_kurtosis(c) -> float:
     """Excess kurtosis of one row of 1-D data, after centering and scaling
     to unit variance; NaN for zero or non-finite variance. Biased (1/N)
-    moment estimators throughout. Past the mean, the moments are summed as
-    Python floats over column blocks through one small scratch array, so no
-    temporary of the input's size is made."""
+    moment estimators throughout. Only when the squared variance or the
+    fourth moment is not a normal finite float is a row-sized temporary made:
+    the row brought into range by scale_into_range, scored again."""
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 1:
         raise DimensionError(f"kurtosis takes one row of samples, got shape {c.shape}")
-    n = c.size
-    if n < 4:
-        raise DimensionError(f"kurtosis needs >= 4 samples, got {n}")
-    m2 = m4 = 0.0
-    # a row whose moments leave the float64 range scores NaN, unwarned
+    if c.size < 4:
+        raise DimensionError(f"kurtosis needs >= 4 samples, got {c.size}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for _, sq in centred_blocks(c, c.mean(), _KURTOSIS_COLUMNS):
-            np.multiply(sq, sq, out=sq)
-            m2 += float(sq.sum())
-            np.multiply(sq, sq, out=sq)
-            m4 += float(sq.sum())
-        m2 /= n
+        m2, m4 = _central_moments(c)
+        if not all(2.0**-1022 <= m < math.inf for m in (m2 * m2, m4)):  # normal floats
+            c, e = scale_into_range(c, max(c.max(), -c.min()))
+            if e:
+                m2, m4 = _central_moments(c)
         if not 0.0 < m2 < math.inf:
             return math.nan
-        # a variance below about 1e-162 squares to 0: the ratio is inf or NaN
-        return float(np.float64(m4 / n) / (m2 * m2)) - 3.0
+        # a variance that still squares to 0 makes the ratio inf or NaN
+        return float(np.float64(m4) / (m2 * m2)) - 3.0
 
 
 @dataclass(frozen=True)

@@ -355,13 +355,15 @@ class TestDecompose:
 
 
 class TestNodeCoeffs:
-    @pytest.mark.parametrize("shape", [(700,), (2, 700), (2, 70000)])
+    @pytest.mark.parametrize("shape", [(1, 700), (2, 700), (2, 70000)])
     def test_every_node_equals_the_walk_bytes(self, tree, filters, shape):
+        # an array's rows and a tuple of separate rows read alike
         x = np.random.default_rng(len(shape) + shape[-1]).standard_normal(shape)
         for node, coeffs in walked(x, tree, filters).items():
-            got = node_coeffs(x, node, filters)
-            assert got.shape == x.shape
-            assert got.tobytes() == coeffs.tobytes()
+            for rows in (x, tuple(row.copy() for row in x)):
+                got = node_coeffs(rows, node, filters)
+                assert got.shape == x.shape
+                assert got.tobytes() == coeffs.tobytes()
 
     def test_root_is_the_input_itself(self, filters):
         x = np.random.default_rng(3).standard_normal((2, 64))

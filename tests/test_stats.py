@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -53,12 +54,31 @@ class TestKurtosis:
         with pytest.raises(DimensionError):
             row_kurtosis(np.array([1.0, 2.0, 3.0]))
 
-    def test_fourth_moment_overflow_is_nan_unwarned(self):
-        # the variance, about 4e199, is finite; its square and m4 are not
+    def test_fourth_moment_overflow_reads_the_scaled_row(self):
+        # the variance, about 4e199, is finite; its square and m4 are not,
+        # so the row is scored again brought into range by a power of two
         y = np.array([1e100, -1e100, 3e99, 0.0, 5e99])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.isnan(row_kurtosis(y))
+            got = row_kurtosis(y)
+        expected = sps.kurtosis(np.ldexp(y, -math.frexp(1e100)[1]), fisher=True, bias=True)
+        assert abs(got - expected) <= 1e-14 * (expected + 3.0)
+
+    @pytest.mark.parametrize("scale", [1e-80, 1e-90, 1e-150, 1e150])
+    def test_quiet_and_loud_rows_read_their_unit_scale_value(self, scale):
+        # at 1e-80 the fourth moment is subnormal, at 1e-90 and 1e-150 it
+        # underflows to 0, at 1e150 it overflows
+        y = np.random.default_rng(5).laplace(size=4096)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = row_kurtosis(scale * y)
+            # a power of two, so that the constant row's mean is exact
+            for flat in (np.zeros(4096), np.full(4096, 2.0 ** math.frexp(scale)[1])):
+                assert np.isnan(row_kurtosis(flat))
+            for bad in (np.nan, np.inf):
+                assert np.isnan(row_kurtosis(np.append(scale * y, bad)))
+        expected = row_kurtosis(y)
+        assert abs(got - expected) <= 1e-12 * abs(expected)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_samples(self, bad):
