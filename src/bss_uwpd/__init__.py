@@ -14,7 +14,6 @@ from .audio_io import (
     decimate_to_8k,
     mix,
     read_wav,
-    stack_pair,
     synth_source,
     write_wav,
 )

@@ -210,12 +210,6 @@ def pair_rate(s1: Signal, s2: Signal) -> int:
     return s1.sample_rate_hz
 
 
-def stack_pair(signals):
-    """The samples of two Signals (checked by pair_rate) as (2, N) data, and their rate."""
-    rate = pair_rate(*signals)
-    return np.vstack([s.samples for s in signals]), rate
-
-
 # A peak outside [2**-64, 2**64) is brought to [0.5, 1) before any statistic
 # is taken: far enough outside, fourth moments, covariances and dot products
 # over- or underflow.
@@ -234,9 +228,9 @@ def scale_into_range(x, peak):
 
 def mix(sources, a: MixingMatrix):
     """The two instantaneous mixtures x = A s of two sources of one length
-    and rate (see stack_pair), as Signals at the sources' rate."""
-    stacked, rate = stack_pair(sources)
-    mixed = a.entries @ stacked
+    and rate (checked by pair_rate), as Signals at the sources' rate."""
+    rate = pair_rate(*sources)
+    mixed = a.entries @ np.vstack([s.samples for s in sources])
     return Signal(mixed[0], rate), Signal(mixed[1], rate)
 
 

@@ -14,39 +14,24 @@ it is wider than sqrt(2) times the local critical bandwidth.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .audio_io import PIPELINE_RATE_HZ, Signal, check_rate, set_read_only
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError
 from .stats import BLOCK_COLUMNS
 
 MAX_LEVEL = 5
 
-# Critical-band characteristics for the 0..4 kHz range: 17 bands (barks),
-# (center frequency Hz, critical bandwidth Hz). Band edges follow from the
-# cumulative bandwidths: 0, 100, 200, ..., 3150, 3700.
-CRITICAL_BANDS = (
-    (50, 100),
-    (150, 100),
-    (250, 100),
-    (350, 100),
-    (450, 110),
-    (570, 120),
-    (700, 140),
-    (840, 150),
-    (1000, 160),
-    (1170, 190),
-    (1370, 210),
-    (1600, 240),
-    (1850, 280),
-    (2150, 320),
-    (2500, 380),
-    (2900, 450),
-    (3400, 550),
-)
+# Critical bandwidths (Hz) of the 17 bands (barks) over 0..4 kHz, after
+# Zwicker and Terhardt, JASA 68(5), 1980. Band edges are the cumulative
+# bandwidths: 0, 100, 200, ..., 3150, 3700.
+CRITICAL_BANDS = (100, 100, 100, 100, 110, 120, 140, 150, 160, 190, 210, 240,
+                  280, 320, 380, 450, 550)
 
 # Daubechies filter with 4 vanishing moments (8 taps), normalized so the
 # taps sum to sqrt(2).
@@ -86,13 +71,10 @@ def db4_filters() -> FilterPair:
 
 @dataclass(frozen=True)
 class CbLeaf:
-    """One leaf band of the critical-band tree."""
+    """One leaf of the critical-band tree; CbTree.band gives its band."""
 
     level: int
     position: int
-    band_low_hz: float
-    band_high_hz: float
-    cbw_target_hz: float
 
 
 @dataclass(frozen=True)
@@ -143,22 +125,6 @@ def _filter_into(c, taps, level: int, out):
                                  out=product[..., : total.shape[-1]])
 
 
-def cbw_at(freq_hz: float) -> float:
-    """Critical bandwidth (Hz) of the band containing a frequency.
-
-    Band edges are the cumulative bandwidths; frequencies above the last
-    edge fall into the last band.
-    """
-    if freq_hz < 0:
-        raise ParameterError(f"frequency must be non-negative, got {freq_hz}")
-    edge = 0.0
-    for _, cbw in CRITICAL_BANDS:
-        edge += cbw
-        if freq_hz < edge:
-            return float(cbw)
-    return float(CRITICAL_BANDS[-1][1])
-
-
 def build_cb_tree(fs_hz: int = PIPELINE_RATE_HZ) -> CbTree:
     """Build the critical-band tree for an 8 kHz signal.
 
@@ -167,21 +133,22 @@ def build_cb_tree(fs_hz: int = PIPELINE_RATE_HZ) -> CbTree:
     the band's center, capping the depth at five levels.
     """
     check_rate(fs_hz, "the critical-band tree")
+    band_of = CbTree(fs_hz=fs_hz, leaves=()).band
+    edges = tuple(accumulate(CRITICAL_BANDS))
     leaves = []
 
     def split(level, position):
-        width = fs_hz / 2.0 ** (level + 1)
-        low = position * width
-        center = low + width / 2.0
-        cbw = cbw_at(center)
-        if level < MAX_LEVEL and width > math.sqrt(2.0) * cbw:
+        low, high = band_of(level, position)
+        # the first band whose upper edge is above the center, else the last
+        band = min(bisect_right(edges, (low + high) / 2.0), len(edges) - 1)
+        if level < MAX_LEVEL and high - low > math.sqrt(2.0) * CRITICAL_BANDS[band]:
             split(level + 1, 2 * position)
             split(level + 1, 2 * position + 1)
         else:
-            leaves.append(CbLeaf(level, position, low, low + width, cbw))
+            leaves.append(CbLeaf(level, position))
 
     split(0, 0)
-    leaves.sort(key=lambda leaf: leaf.band_low_hz)
+    leaves.sort(key=lambda leaf: leaf.position / 2**leaf.level)
     return CbTree(fs_hz=fs_hz, leaves=tuple(leaves))
 
 

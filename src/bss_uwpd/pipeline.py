@@ -92,7 +92,8 @@ def _unit_variance_estimates(model: UnmixingModel, x, fitted_on_x: bool):
         estimates = None
         if evals.max() > _FOLD_MAX_RATIO * evals.min():
             estimates = affine(c, x, mean)
-            gain = estimates.std(axis=1)
+            # row by row, so std's centred copy is one row, not the pair
+            gain = np.array([row.std() for row in estimates])
         folded = c / gain[:, None]
     # a zero gain turns its row of folded to inf or NaN, an infinite one to 0
     if not (np.all(np.isfinite(gain)) and np.all(np.isfinite(folded))):

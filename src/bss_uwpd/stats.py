@@ -32,35 +32,38 @@ _KURTOSIS_COLUMNS = 16384
 
 
 def _central_moments(c):
-    """The biased second and fourth central moments of a 1-D row, summed as
-    Python floats over column blocks through one small scratch array."""
-    m2 = m4 = 0.0
-    for _, sq in centred_blocks(c, c.mean(), _KURTOSIS_COLUMNS):
+    """The mean and the biased second and fourth central moments of a 1-D
+    row, summed as Python floats over column blocks through one small
+    scratch array."""
+    mean, m2, m4 = c.mean(), 0.0, 0.0
+    for _, sq in centred_blocks(c, mean, _KURTOSIS_COLUMNS):
         np.multiply(sq, sq, out=sq)
         m2 += float(sq.sum())
         np.multiply(sq, sq, out=sq)
         m4 += float(sq.sum())
-    return m2 / c.size, m4 / c.size
+    return mean, m2 / c.size, m4 / c.size
 
 
 def row_kurtosis(c) -> float:
     """Excess kurtosis of one row of 1-D data, after centering and scaling
-    to unit variance; NaN for zero or non-finite variance. Biased (1/N)
-    moment estimators throughout. Only when the squared variance or the
-    fourth moment is not a normal finite float is a row-sized temporary made:
-    the row brought into range by scale_into_range, scored again."""
+    to unit variance; NaN for a non-finite variance or for a constant row,
+    whose variance is no larger than the rounding of the mean (about
+    N * eps * |mean|) could make it. Biased (1/N) moment estimators
+    throughout. Only when the squared variance or the fourth moment is not a
+    normal finite float is a row-sized temporary made: the row brought into
+    range by scale_into_range, scored again."""
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 1:
         raise DimensionError(f"kurtosis takes one row of samples, got shape {c.shape}")
     if c.size < 4:
         raise DimensionError(f"kurtosis needs >= 4 samples, got {c.size}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        m2, m4 = _central_moments(c)
+        mean, m2, m4 = _central_moments(c)
         if not all(2.0**-1022 <= m < math.inf for m in (m2 * m2, m4)):  # normal floats
             c, e = scale_into_range(c, max(c.max(), -c.min()))
             if e:
-                m2, m4 = _central_moments(c)
-        if not 0.0 < m2 < math.inf:
+                mean, m2, m4 = _central_moments(c)
+        if not (c.size * np.finfo(np.float64).eps * mean) ** 2 < m2 < math.inf:
             return math.nan
         # a variance that still squares to 0 makes the ratio inf or NaN
         return float(np.float64(m4) / (m2 * m2)) - 3.0

@@ -27,7 +27,6 @@ from bss_uwpd import (
     read_wav,
     select_best_node,
     separate,
-    stack_pair,
     synth_source,
     write_wav,
 )
@@ -272,14 +271,16 @@ class TestMix:
             mix((Signal([1.0, 2.0], 8000), Signal([1.0, 2.0], 16000)),
                 MixingMatrix(EQ8_MATRIX))
 
-    def test_stack_pair(self):
-        x, rate = stack_pair((Signal([1.0, 2.0], 16000), Signal([3.0, 4.0], 16000)))
-        assert x.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-        assert rate == 16000
+    def test_pair_checked_by_pair_rate(self):
+        # the mixtures are A times the stacked samples, at the sources' rate
+        a = np.array([[2.0, 1.0], [1.0, 1.0]])
+        x1, x2 = mix((Signal([1.0, 2.0], 16000), Signal([3.0, 4.0], 16000)), MixingMatrix(a))
+        assert [x1.samples.tolist(), x2.samples.tolist()] == (a @ [[1.0, 2.0], [3.0, 4.0]]).tolist()
+        assert x1.sample_rate_hz == x2.sample_rate_hz == 16000
         with pytest.raises(DimensionError):
-            stack_pair((Signal([1.0], 8000), Signal([1.0, 2.0], 8000)))
+            mix((Signal([1.0], 8000), Signal([1.0, 2.0], 8000)), MixingMatrix(a))
         with pytest.raises(UnsupportedRateError):
-            stack_pair((Signal([1.0], 8000), Signal([1.0], 16000)))
+            mix((Signal([1.0], 8000), Signal([1.0], 16000)), MixingMatrix(a))
 
 
 class TestSignal:

@@ -15,7 +15,7 @@ from bss_uwpd import (
     decompose_nodes,
     walk,
 )
-from bss_uwpd.filterbank import node_coeffs
+from bss_uwpd.filterbank import CRITICAL_BANDS, node_coeffs
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +26,23 @@ def filters():
 @pytest.fixture(scope="module")
 def tree():
     return build_cb_tree(8000)
+
+
+def critical_bandwidth(freq_hz):
+    """The bandwidth of the critical band containing a frequency, the band
+    edges being the cumulative bandwidths; above the last edge, the last."""
+    edge = 0
+    for width in CRITICAL_BANDS:
+        edge += width
+        if freq_hz < edge:
+            return width
+    return CRITICAL_BANDS[-1]
+
+
+def leaf_containing(tree, freq_hz):
+    """The leaf whose band [low, high) holds a frequency, and that band."""
+    return next((leaf, band) for leaf in tree.leaves
+                if (band := tree.band(leaf.level, leaf.position))[0] <= freq_hz < band[1])
 
 
 def leaf_energies(signal, tree, filters):
@@ -204,24 +221,45 @@ class TestUwpdStep:
 
 class TestCbTree:
     def test_low_band_splits_to_level_five(self, tree):
-        leaf = next(l for l in tree.leaves if l.band_low_hz <= 150 < l.band_high_hz)
+        leaf, (low, high) = leaf_containing(tree, 150)
         assert leaf.level == 5
-        assert leaf.band_high_hz - leaf.band_low_hz == 125.0
-        assert leaf.cbw_target_hz == 100.0
+        assert high - low == 125.0
+        assert critical_bandwidth((low + high) / 2) == 100
 
     def test_high_band_stops_at_level_three(self, tree):
-        leaf = next(l for l in tree.leaves if l.band_low_hz <= 3400 < l.band_high_hz)
+        leaf, (low, high) = leaf_containing(tree, 3400)
         assert leaf.level == 3
-        assert leaf.band_high_hz - leaf.band_low_hz == 500.0
-        assert leaf.cbw_target_hz == 550.0
+        assert high - low == 500.0
+        assert critical_bandwidth((low + high) / 2) == 550
 
     def test_leaves_tile_the_band(self, tree):
         edge = 0.0
         for leaf in tree.leaves:
-            assert leaf.band_low_hz == edge
-            assert leaf.band_high_hz > leaf.band_low_hz
-            edge = leaf.band_high_hz
+            low, high = tree.band(leaf.level, leaf.position)
+            assert low == edge
+            assert high > low
+            edge = high
         assert edge == 4000.0
+
+    def test_leaves_in_band_order(self):
+        assert [(leaf.level, leaf.position) for leaf in build_cb_tree().leaves] == [
+            (5, 0), (5, 1), (5, 2), (5, 3), (5, 4), (5, 5), (5, 6), (5, 7),
+            (4, 4), (4, 5), (4, 6), (4, 7), (4, 8), (4, 9), (3, 5), (3, 6), (3, 7),
+        ]
+
+    def test_split_rule(self, tree):
+        # a leaf is at the depth cap or no wider than sqrt(2) critical
+        # bandwidths at its center; every node above a leaf is wider
+        def ratio(level, position):
+            low, high = tree.band(level, position)
+            return (high - low) / critical_bandwidth((low + high) / 2)
+
+        inner = set()
+        for leaf in tree.leaves:
+            assert leaf.level == 5 or ratio(leaf.level, leaf.position) <= 2**0.5
+            inner.update((leaf.level - k, leaf.position >> k) for k in range(1, leaf.level + 1))
+        assert len(inner) == len(tree.leaves) - 1
+        assert all(ratio(*node) > 2**0.5 for node in inner)
 
     def test_leaf_count_and_depth(self, tree):
         assert 17 <= len(tree.leaves) <= 32
@@ -229,7 +267,8 @@ class TestCbTree:
 
     def test_nominal_widths(self, tree):
         for leaf in tree.leaves:
-            assert leaf.band_high_hz - leaf.band_low_hz == 8000 / 2.0 ** (leaf.level + 1)
+            low, high = tree.band(leaf.level, leaf.position)
+            assert high - low == 8000 / 2.0 ** (leaf.level + 1)
 
     def test_rejects_other_rates(self):
         with pytest.raises(UnsupportedRateError):
@@ -250,9 +289,7 @@ class TestDecompose:
         tone = Signal(np.sin(2 * np.pi * 200.0 * t), 8000)
         energies = leaf_energies(tone, tree, filters)
         total = sum(energies.values())
-        target = next(
-            l for l in tree.leaves if l.band_low_hz <= 200.0 < l.band_high_hz
-        )
+        target, _ = leaf_containing(tree, 200.0)
         share = energies[(target.level, target.position)] / total
         assert max(energies, key=energies.get) == (target.level, target.position)
         assert share > 0.75
@@ -260,7 +297,7 @@ class TestDecompose:
     def test_every_leaf_is_selective_for_its_center(self, tree, filters):
         t = np.arange(4096) / 8000.0
         for leaf in tree.leaves:
-            center = 0.5 * (leaf.band_low_hz + leaf.band_high_hz)
+            center = 0.5 * sum(tree.band(leaf.level, leaf.position))
             if center == 0.0 or center == 4000.0:
                 continue
             tone = Signal(np.sin(2 * np.pi * center * t), 8000)

@@ -50,6 +50,18 @@ class TestKurtosis:
     def test_zero_variance(self):
         assert np.isnan(row_kurtosis(np.full(100, 3.3)))
 
+    @pytest.mark.parametrize("n", [4, 4096, 100003])
+    def test_constant_rows_read_nan(self, n):
+        # a constant's computed mean may be off by its rounding, which leaves
+        # the row a tiny variance that is no signal
+        for value in (0.1, 0.7, 3.3, 1e-300, 1e300, 1.0, -2.5, 0.0):
+            assert np.isnan(row_kurtosis(np.full(n, value))), value
+
+    def test_small_variance_about_a_large_mean(self):
+        # the variance is 2e-20 of the squared mean, far above its rounding
+        y = 1e6 + 1e-4 * np.random.default_rng(0).laplace(size=4096)
+        assert abs(row_kurtosis(y) - sps.kurtosis(y, fisher=True, bias=True)) < 1e-6
+
     def test_too_short(self):
         with pytest.raises(DimensionError):
             row_kurtosis(np.array([1.0, 2.0, 3.0]))
