@@ -229,6 +229,8 @@ def scale_into_range(x, peak):
 def mix(sources, a: MixingMatrix):
     """The two instantaneous mixtures x = A s of two sources of one length
     and rate (checked by pair_rate), as Signals at the sources' rate."""
+    if len(sources := tuple(sources)) != 2:
+        raise DimensionError(f"need two sources, got {len(sources)}")
     rate = pair_rate(*sources)
     mixed = a.entries @ np.vstack([s.samples for s in sources])
     return Signal(mixed[0], rate), Signal(mixed[1], rate)
@@ -241,8 +243,10 @@ def synth_source(kind: str, n: int, seed: int, pole: float = 0.9) -> Signal:
     autoregression with the given pole). The output is centered and scaled
     to unit sample variance.
     """
-    if n < 1:
-        raise ParameterError("sample count must be >= 1")
+    if not isinstance(n, Integral) or n < 1:
+        raise ParameterError(f"sample count must be an integer >= 1, got {n!r}")
+    if not isinstance(seed, Integral) or seed < 0:
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     if kind == "laplacian":
         samples = rng.laplace(size=n)

@@ -79,7 +79,8 @@ class CbLeaf:
 
 @dataclass(frozen=True)
 class CbTree:
-    """Pruned wavelet packet tree whose leaves tile 0..Fs/2."""
+    """Pruned wavelet packet tree: build_cb_tree's leaves tile 0..Fs/2, and
+    walk accepts any set of leaves."""
 
     fs_hz: int
     leaves: tuple
@@ -154,11 +155,13 @@ def build_cb_tree(fs_hz: int = PIPELINE_RATE_HZ) -> CbTree:
 
 def walk(x, tree: CbTree, filters: FilterPair):
     """Depth-first walk of the tree over (..., N) data, yielding (node,
-    coeffs) for every node, the root (x itself, never written) first; below
-    each node the child with fewer levels under it comes first, on a tie the
-    lower band. A yielded block is valid only until the walk advances: each
-    is filtered just before its subtree is walked and reused once its last
-    child is filtered, so four buffers of x's shape serve the other 32 nodes.
+    coeffs) for every leaf and every node above one, the root (x itself,
+    never written) first; below each node the child with fewer levels under
+    it comes first, on a tie the lower band. A yielded block is valid only
+    until the walk advances: each is filtered just before its subtree is
+    walked and reused once its last child is filtered, so on build_cb_tree's
+    tree four buffers of x's shape serve the other 32 nodes, and a one-leaf
+    tree walks its one path with two.
 
     Positions are in natural frequency order; when filtering the children
     of a node at an odd frequency position, the low-pass output lands in
@@ -183,36 +186,16 @@ def _subtree(node, coeffs, height, filters: FilterPair, free):
     """walk below one node; a block below the root returns to free after its last child."""
     yield node, coeffs
     level, position = node
-    children = sorted([(level + 1, 2 * position + k) for k in (0, 1) if height[node]],
-                      key=height.get)
+    children = sorted([child for k in (0, 1)
+                       if (child := (level + 1, 2 * position + k)) in height], key=height.get)
     if level and not children:
         free.append(coeffs)
-    for i, child in enumerate(children):
+    for i, child in enumerate(children, 1):
         out = free.pop() if free else np.empty_like(coeffs)
         _filter_into(coeffs, _taps(filters, child), level + 1, out)
-        if level and i:
+        if level and i == len(children):
             free.append(coeffs)
         yield from _subtree(child, out, height, filters, free)
-
-
-def node_coeffs(rows, node, filters: FilterPair):
-    """The coefficients walk yields for one node of the stack of rows
-    (equal-length 1-D rows, such as (2, N) data), bit for bit: the stack
-    itself for the root (rows, if an array), else the stack filtered down
-    the node's path. The first step filters each row into its row of a
-    buffer, and each later step alternates between two of that shape."""
-    level, position = node
-    if not level:
-        return np.asarray(rows, dtype=np.float64)
-    coeffs, spare = np.empty((len(rows), len(rows[0]))), None
-    for row, out in zip(rows, coeffs):
-        _filter_into(np.asarray(row, dtype=np.float64),
-                     _taps(filters, (1, position >> (level - 1))), 1, out)
-    for k in range(2, level + 1):
-        out = np.empty_like(coeffs) if spare is None else spare
-        _filter_into(coeffs, _taps(filters, (k, position >> (level - k))), k, out)
-        spare, coeffs = coeffs, out
-    return coeffs
 
 
 def decompose_nodes(signal: Signal, tree: CbTree, filters: FilterPair):

@@ -8,13 +8,14 @@ time-domain mixtures. Baselines fit directly on the mixtures.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .audio_io import PIPELINE_RATE_HZ, Signal, check_rate, pair_rate, scale_into_range
 from .errors import DegenerateInputError, ParameterError
-from .filterbank import build_cb_tree, db4_filters, node_coeffs, walk
+from .filterbank import CbLeaf, build_cb_tree, db4_filters, walk
 from .separators import IcaOptions, UnmixingModel, fastica, sobi
 from .stats import (
     NodeScore,
@@ -120,11 +121,13 @@ def separate(x1: Signal, x2: Signal, method: str,
     rows, e = _scaled_rows(x1, x2)
     selected_node = model = None
     if method == METHOD_PROPOSED:
-        filters = db4_filters()
-        selected_node = _select_node(rows, build_cb_tree(), filters)
+        filters, tree = db4_filters(), build_cb_tree()
+        selected_node = _select_node(rows, tree, filters)
         if selected_node != (0, 0):
-            # the winner's subband is fitted and dropped before the pair is stacked
-            model = fastica(node_coeffs(rows, selected_node, filters), opts)
+            # the winner's path, walked per row, is fitted and dropped before the pair is stacked
+            path = replace(tree, leaves=(CbLeaf(*selected_node),))
+            model = fastica(np.vstack([deque(walk(row, path, filters), maxlen=1)[0][1]
+                                       for row in rows]), opts)
     x = np.vstack(rows)
     del rows  # free scaled rows before the estimates are allocated
     fitted_on_x = model is None

@@ -282,6 +282,19 @@ class TestMix:
         with pytest.raises(UnsupportedRateError):
             mix((Signal([1.0], 8000), Signal([1.0], 16000)), MixingMatrix(a))
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_other_than_two_sources_rejected(self, count):
+        with pytest.raises(DimensionError, match=f"need two sources, got {count}"):
+            mix((Signal([1.0, 2.0], 8000),) * count, MixingMatrix(EQ8_MATRIX))
+
+    def test_generator_of_two_sources(self):
+        sources = synth_source("gaussian", 256, seed=1), synth_source("gaussian", 256, seed=2)
+        want = mix(sources, MixingMatrix(EQ8_MATRIX))
+        got = mix((s for s in sources), MixingMatrix(EQ8_MATRIX))
+        for g, w in zip(got, want, strict=True):
+            assert g.samples.tobytes() == w.samples.tobytes()
+            assert g.sample_rate_hz == w.sample_rate_hz
+
 
 class TestSignal:
     @pytest.mark.parametrize("rate", [8000.7, 8000.0, "8000", None, 0, -8000])
@@ -336,6 +349,15 @@ class TestSynthSource:
                 synth_source(kind, 100, seed=0)
         with pytest.raises(ParameterError):
             synth_source("gaussian", 0, seed=0)
+
+    @pytest.mark.parametrize("n, seed", [(2.5, 0), ("10", 0), (10, -1), (10, 1.5), (10, None)])
+    def test_count_and_seed_must_be_integers_in_range(self, n, seed):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            synth_source("laplacian", n, seed)
+
+    def test_numpy_integers_accepted(self):
+        got = synth_source("laplacian", np.int64(64), np.int64(3))
+        assert got.samples.tobytes() == synth_source("laplacian", 64, 3).samples.tobytes()
 
 
 def test_package_imports_without_scipy():

@@ -2,6 +2,7 @@ import collections
 import gc
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from bss_uwpd import (
     decompose_nodes,
     walk,
 )
-from bss_uwpd.filterbank import CRITICAL_BANDS, node_coeffs
+from bss_uwpd.filterbank import CRITICAL_BANDS, CbLeaf
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +97,11 @@ def pending_walk(x, tree, filters):
             if heights[hi] < heights[lo]:
                 first, second = second, first
             pending += [second, first]
+
+
+def one_leaf(tree, node):
+    """The tree whose one leaf is node: walk goes down node's path only."""
+    return replace(tree, leaves=(CbLeaf(*node),))
 
 
 def walked(x, tree, filters):
@@ -370,11 +376,15 @@ class TestDecompose:
         x = np.random.default_rng(n).standard_normal((2, n))
         assert_walk_equals_pending_walk(x, tree, filters)
 
+    @pytest.mark.parametrize("path", [None, (5, 0)])
     @pytest.mark.parametrize("stop", [None, 1, 6, 20])
-    def test_walk_holds_no_buffers_once_done(self, tree, filters, stop):
+    def test_walk_holds_no_buffers_once_done(self, tree, filters, stop, path):
         # with the collector off, a reference cycle would keep the walk's
-        # buffers (four of 1 MiB) after it is consumed or broken off
+        # buffers (four of 1 MiB, two down one path) after it is consumed or
+        # broken off
         x = np.random.default_rng(6).standard_normal((2, 65536))
+        if path:
+            tree = one_leaf(tree, path)
         enabled = gc.isenabled()
         gc.disable()
         tracemalloc.start()
@@ -391,27 +401,31 @@ class TestDecompose:
         assert held < x.nbytes
 
 
-class TestNodeCoeffs:
-    @pytest.mark.parametrize("shape", [(1, 700), (2, 700), (2, 70000)])
-    def test_every_node_equals_the_walk_bytes(self, tree, filters, shape):
-        # an array's rows and a tuple of separate rows read alike
+class TestOneLeafWalk:
+    @pytest.mark.parametrize("shape", [(700,), (70000,), (2, 700)])
+    def test_last_block_equals_the_full_walk_bytes(self, tree, filters, shape):
+        # the walk goes down the node's path alone, root first
         x = np.random.default_rng(len(shape) + shape[-1]).standard_normal(shape)
         for node, coeffs in walked(x, tree, filters).items():
-            for rows in (x, tuple(row.copy() for row in x)):
-                got = node_coeffs(rows, node, filters)
-                assert got.shape == x.shape
-                assert got.tobytes() == coeffs.tobytes()
+            # every block but the last is reused as the walk advances
+            steps = list(walk(x, one_leaf(tree, node), filters))
+            level, position = node
+            assert [step for step, _ in steps] == [(k, position >> (level - k))
+                                                   for k in range(level + 1)]
+            got = steps[-1][1]
+            assert got.shape == x.shape and got.tobytes() == coeffs.tobytes()
 
-    def test_root_is_the_input_itself(self, filters):
+    def test_root_is_the_input_itself(self, tree, filters):
         x = np.random.default_rng(3).standard_normal((2, 64))
-        assert node_coeffs(x, (0, 0), filters) is x
+        (node, coeffs), = walk(x, one_leaf(tree, (0, 0)), filters)
+        assert node == (0, 0) and coeffs is x
 
-    def test_holds_two_buffers(self, filters):
-        # a level-5 node: the returned block and one spare, both of x's shape
+    def test_holds_two_buffers(self, tree, filters):
+        # a level-5 path: the last block and one spare, both of x's shape
         x = np.random.default_rng(4).standard_normal((2, 65536))
         tracemalloc.start()
         try:
-            node_coeffs(x, (5, 0), filters)
+            collections.deque(walk(x, one_leaf(tree, (5, 0)), filters), maxlen=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
