@@ -12,7 +12,7 @@ import wave
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -240,11 +240,11 @@ def synth_source(kind: str, n: int, seed: int, pole: float = 0.9) -> Signal:
     """Generate a deterministic unit-variance test source at 8000 Hz.
 
     kind is one of "laplacian", "uniform", "gaussian" or "ar1" (first-order
-    autoregression with the given pole). The output is centered and scaled
-    to unit sample variance.
+    autoregression with the given real pole of magnitude below 1). The n >= 2
+    samples are centered and scaled to unit sample variance.
     """
-    if not isinstance(n, Integral) or n < 1:
-        raise ParameterError(f"sample count must be an integer >= 1, got {n!r}")
+    if not isinstance(n, Integral) or n < 2:
+        raise ParameterError(f"sample count must be an integer >= 2, got {n!r}")
     if not isinstance(seed, Integral) or seed < 0:
         raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
@@ -255,8 +255,8 @@ def synth_source(kind: str, n: int, seed: int, pole: float = 0.9) -> Signal:
     elif kind == "gaussian":
         samples = rng.standard_normal(n)
     elif kind == "ar1":
-        if abs(pole) >= 1.0:
-            raise ParameterError(f"AR(1) pole magnitude must be < 1, got {pole}")
+        if not (isinstance(pole, Real) and abs(pole) < 1.0):  # NaN fails the test too
+            raise ParameterError(f"AR(1) pole must be a real number of magnitude < 1, got {pole!r}")
         burn_in = 1000
         noise = rng.standard_normal(n + burn_in)
         # y[t] = pole * y[t-1] + noise[t] from y[-1] = 0, as lfilter runs it
@@ -265,7 +265,4 @@ def synth_source(kind: str, n: int, seed: int, pole: float = 0.9) -> Signal:
     else:
         raise ParameterError(f"unknown source kind: {kind!r}")
     samples = samples - samples.mean()
-    std = samples.std()
-    if std > 0.0:
-        samples = samples / std
-    return Signal(samples, PIPELINE_RATE_HZ)
+    return Signal(samples / samples.std(), PIPELINE_RATE_HZ)

@@ -56,22 +56,21 @@ def _dot(a, b) -> float:
 
 def _samples(*signals):
     """Each signal's samples as a float array, checked to be 1-D and finite
-    (a Signal already is) and to share one length; the Signals among them
-    must share one sample rate."""
+    and to share one length, and brought into range by scale_into_range
+    (every score is invariant to each signal's scale); the Signals among
+    them must share one sample rate."""
     rates = {s.sample_rate_hz for s in signals if isinstance(s, Signal)}
     if len(rates) > 1:
         raise UnsupportedRateError(f"signals must share one sample rate, got {sorted(rates)} Hz")
     arrays = []
     for signal in signals:
-        if isinstance(signal, Signal):
-            arrays.append(signal.samples)
-            continue
-        samples = np.asarray(signal, float)
+        samples = signal.samples if isinstance(signal, Signal) else np.asarray(signal, float)
         if samples.ndim != 1:
             raise DimensionError(f"a signal must be 1-D, got shape {samples.shape}")
-        if not np.all(np.isfinite(samples)):
+        peak = max(samples.max(initial=0.0), -samples.min(initial=0.0))
+        if not math.isfinite(peak):  # the min and max carry any NaN or infinity
             raise ParameterError("signal samples must be finite")
-        arrays.append(samples)
+        arrays.append(scale_into_range(samples, peak)[0])
     if len({arr.size for arr in arrays}) != 1:
         raise DimensionError("estimates and references must share one length")
     return arrays
@@ -86,28 +85,20 @@ def _gram(arrays):
 
 
 def _align(estimates, references):
-    """[e0, e1, r0, r1], checked by _samples, with each estimate brought into
-    range by scale_into_range (every metric is invariant to an estimate's
-    scale), their Gram table, then align's rule on G_ij - S_i S_j / N."""
+    """[e0, e1, r0, r1] from _samples, their Gram table, then align's rule on
+    G_ij - S_i S_j / N."""
     estimates, references = tuple(estimates), tuple(references)
     if len(estimates) != 2 or len(references) != 2:
         raise DimensionError(f"need 2 estimates and 2 references, got {len(estimates)}"
                              f" and {len(references)}")
     arrays = _samples(*estimates, *references)
-    extremes = [(arr.min(), arr.max()) for arr in arrays] if arrays[0].size else []
-    if not extremes or any(lo == hi for lo, hi in extremes):
-        raise DegenerateInputError("zero-variance signal cannot be aligned")
-    arrays = [scale_into_range(arr, max(hi, -lo))[0]
-              for arr, (lo, hi) in zip(arrays[:2], extremes)] + arrays[2:]
-    # references far outside the range overflow the table, unwarned
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = _gram(arrays)
-        sums = np.array([arr.sum() for arr in arrays])
-        centred = gram - np.outer(sums, sums) / arrays[0].size
-    if not np.all(np.isfinite(centred)):
-        raise DegenerateInputError("signal energies exceed the float64 range")
-    if np.any(np.diag(centred) <= 1e-10 * np.diag(gram)):  # too few digits left
-        raise DegenerateInputError("signal variance is lost in the rounding of its mean")
+    gram = _gram(arrays)
+    sums = np.array([arr.sum() for arr in arrays])
+    centred = gram - np.outer(sums, sums) / max(arrays[0].size, 1)
+    # a constant (or empty) signal's centred energy is its mean's rounding error
+    if np.any(np.diag(centred) <= 1e-10 * np.diag(gram)):
+        raise DegenerateInputError("zero-variance signal cannot be aligned: its variance"
+                                   " is lost in the rounding of its mean")
     norms = np.sqrt(np.diag(centred))
     corr = centred[:2, 2:] / np.outer(norms[:2], norms[2:])
     permutation = (0, 1) if np.trace(abs(corr)) >= np.trace(abs(corr)[::-1]) else (1, 0)
@@ -132,33 +123,26 @@ class BssDecomposition:
     s_target: np.ndarray
     e_interf: np.ndarray
     e_artif: np.ndarray
-    collinear: bool = False
-
-
-def _unit(gram):
-    """gram / 4**m and m, 4**m near its largest diagonal: an exact, bit-keeping scale."""
-    m = math.frexp(max(gram[0, 0], gram[1, 1]))[1] // 2
-    return np.ldexp(gram, -2 * m), m
 
 
 def _coefficients(gram, projections, target_index):
-    """Target coefficient, span coefficients (None if collinear), collinear flag."""
+    """Target coefficient and span coefficients; collinear references raise."""
     target_energy = gram[target_index, target_index]
-    if not (target_energy > 0.0 and np.isfinite(gram).all()):
-        raise DegenerateInputError("target reference carries no energy, or energies overflow")
-    unit = _unit(gram)[0]
-    collinear = np.linalg.det(unit) <= 1e-12 * unit[0, 0] * unit[1, 1]
-    coeffs = None if collinear else np.linalg.solve(gram, projections)
-    return projections[target_index] / target_energy, coeffs, collinear
+    if not target_energy > 0.0:
+        raise DegenerateInputError("target reference carries no energy")
+    if np.linalg.det(gram) <= 1e-12 * gram[0, 0] * gram[1, 1]:
+        raise DegenerateInputError("references are collinear; SIR is undefined")
+    return projections[target_index] / target_energy, np.linalg.solve(gram, projections)
 
 
 def bss_decompose(estimate, references, target_index: int) -> BssDecomposition:
     """Project an estimate onto the matched reference and the reference span.
 
     s_target is the projection onto the target reference, e_interf the rest
-    of the projection onto span{references}, e_artif the remainder. With
-    collinear references the interference term is defined as zero and the
-    decomposition is flagged. Two references; target_index is 0 or 1.
+    of the projection onto span{references}, e_artif the remainder. Two
+    references; target_index is 0 or 1. The parts sum to the estimate as
+    brought into range by _samples, which is the estimate itself whenever
+    its peak lies in [2**-64, 2**64).
     """
     if not isinstance(target_index, Integral) or target_index not in (0, 1):
         raise ParameterError(f"target_index must be 0 or 1, got {target_index!r}")
@@ -166,11 +150,10 @@ def bss_decompose(estimate, references, target_index: int) -> BssDecomposition:
     if len(refs) != 2:
         raise DimensionError(f"need two references, got {len(refs)}")
     projections = np.array([_dot(r, e) for r in refs])
-    beta, coeffs, collinear = _coefficients(_gram(refs), projections, target_index)
+    beta, coeffs = _coefficients(_gram(refs), projections, target_index)
     s_target = beta * refs[target_index]
-    p_span = s_target if collinear else coeffs[0] * refs[0] + coeffs[1] * refs[1]
-    return BssDecomposition(s_target=s_target, e_interf=p_span - s_target,
-                            e_artif=e - p_span, collinear=collinear)
+    p_span = coeffs[0] * refs[0] + coeffs[1] * refs[1]
+    return BssDecomposition(s_target=s_target, e_interf=p_span - s_target, e_artif=e - p_span)
 
 
 def sir(decomposition: BssDecomposition) -> float:
@@ -258,23 +241,19 @@ def evaluate_pair(estimates, references) -> MetricsReport:
     """Align two estimates with two references and score every metric.
 
     per_source[k] holds the metrics of the estimate matched to reference k.
-    Every score comes from one Gram table of the raw estimates and references.
+    Every score comes from one Gram table of the estimates and references.
     Collinear references raise DegenerateInputError: SIR is undefined there.
     """
     arrays, gram, permutation, signs = _align(estimates, references)
     scratch = np.empty(arrays[0].size)
-    unit, m = _unit(gram[2:, 2:])
     per_source = []
     for k, (t, o) in enumerate(((2, 3), (3, 2))):
         i = permutation.index(k)
         projections = signs[i] * gram[i, 2:]
-        beta, coeffs, collinear = _coefficients(gram[2:, 2:], projections, k)
-        if collinear:
-            raise DegenerateInputError("references are collinear; SIR is undefined")
+        beta, coeffs = _coefficients(gram[2:, 2:], projections, k)
         target = beta * projections[k]
-        # the interference is c_o (r_o - (G_to / G_tt) r_t); no square overflows in unit
-        interference = math.ldexp(coeffs[o - 2], m) ** 2 * (
-            unit[o - 2, o - 2] - unit[k, o - 2] ** 2 / unit[k, k])
+        # the interference is c_o (r_o - (G_to / G_tt) r_t)
+        interference = coeffs[o - 2] ** 2 * (gram[o, o] - gram[t, o] ** 2 / gram[t, t])
         # signs fold into scalars: distortion, then gain residual r_t - (G_it / G_ii) e
         e, r = arrays[i], arrays[t]
         np.subtract(e, np.multiply(r, signs[i] * beta, out=scratch), out=scratch)

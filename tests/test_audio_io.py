@@ -355,6 +355,19 @@ class TestSynthSource:
         with pytest.raises(ParameterError, match="must be an integer"):
             synth_source("laplacian", n, seed)
 
+    @pytest.mark.parametrize("pole", ["0.5", None, np.nan, 0.5j], ids=repr)
+    def test_pole_must_be_a_real_number_of_magnitude_below_1(self, pole):
+        # a string, None or a complex pole fails the type test, NaN the magnitude test
+        with pytest.raises(ParameterError, match="pole"):
+            synth_source("ar1", 100, seed=0, pole=pole)
+
+    @pytest.mark.parametrize("kind", ["laplacian", "uniform", "gaussian", "ar1"])
+    def test_one_sample_has_no_unit_variance(self, kind):
+        # one sample centres to 0.0, which no scale brings to unit variance
+        with pytest.raises(ParameterError, match=">= 2"):
+            synth_source(kind, 1, 0)
+        assert synth_source(kind, 2, 0).samples.var() == 1.0
+
     def test_numpy_integers_accepted(self):
         got = synth_source("laplacian", np.int64(64), np.int64(3))
         assert got.samples.tobytes() == synth_source("laplacian", 64, 3).samples.tobytes()

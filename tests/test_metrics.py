@@ -175,11 +175,13 @@ class TestBssDecompose:
         assert abs(head @ d.e_artif) < 1e-8 * norm(head) * max(norm(d.e_artif), 1e-30)
 
     def test_collinear_references(self):
+        # SIR is undefined when the references span one direction, so the
+        # split raises as evaluate_pair does
         rng = np.random.default_rng(7)
         r1 = rng.standard_normal(512)
-        decomposition = bss_decompose(r1 + 1.0, (r1, -2.0 * r1), 0)
-        assert decomposition.collinear
-        assert np.max(np.abs(decomposition.e_interf)) == 0.0
+        for target in (0, 1):
+            with pytest.raises(DegenerateInputError, match="references are collinear"):
+                bss_decompose(r1 + 1.0, (r1, -2.0 * r1), target)
 
 
 class TestSirSdr:
@@ -213,6 +215,32 @@ class TestSirSdr:
         out /= np.linalg.norm(out)
         estimate = r1 + 0.1 * r2 + 0.1 * out
         assert abs(sdr(bss_decompose(estimate, (r1, r2), 0)) - DB10_OF_50) < 1e-9
+
+    def test_sir_of_collinear_references_raises(self):
+        # one reference given twice spans one direction: SIR is undefined
+        r1, r2 = _orthonormal_refs()
+        with pytest.raises(DegenerateInputError, match="collinear"):
+            sir(bss_decompose(r1 + 0.1 * r2, (r1, r1), 0))
+
+    @staticmethod
+    def _exactly_orthogonal(n=512):
+        """Three +-1 patterns whose pairwise dot products are exactly 0."""
+        return (np.tile([1.0, 1.0, -1.0, -1.0], n // 4), np.tile([1.0, -1.0, 1.0, -1.0], n // 4),
+                np.tile([1.0, -1.0, -1.0, 1.0], n // 4))
+
+    def test_estimate_orthogonal_to_its_target_in_the_span_is_minus_300(self):
+        r1, r2, _ = self._exactly_orthogonal()
+        decomposition = bss_decompose(r2, (r1, r2), 0)
+        assert not decomposition.s_target.any()
+        assert sir(decomposition) == sdr(decomposition) == -300.0
+
+    def test_estimate_orthogonal_to_both_references_is_0db_sir(self):
+        # no target and no interference energy: 0/0 reads 0 dB
+        r1, r2, out = self._exactly_orthogonal()
+        decomposition = bss_decompose(out, (r1, r2), 0)
+        assert not decomposition.s_target.any() and not decomposition.e_interf.any()
+        assert sir(decomposition) == 0.0
+        assert sdr(decomposition) == -300.0
 
     def test_sir_never_below_sdr(self):
         rng = np.random.default_rng(9)
@@ -334,8 +362,8 @@ class TestScaleInvariance:
 
 
 class TestExtremeEstimateScale:
-    """evaluate_pair and align bring an estimate whose peak lies outside
-    [2**-64, 2**64) into range by a power of two, with no warning."""
+    """Every scorer brings an estimate whose peak lies outside [2**-64, 2**64)
+    into range by a power of two, with no warning."""
 
     @staticmethod
     def _case():
@@ -369,19 +397,39 @@ class TestExtremeEstimateScale:
         for got, want in zip(report.per_source, base.per_source):
             assert np.allclose(astuple(got), astuple(want), rtol=0.0, atol=1e-12)
 
-    def test_overflowing_references_raise_typed_error(self):
+    def test_overflowing_references_give_unit_scale_report(self):
+        # the Gram table of 1e160 references overflows unless they are brought into range
         estimates, refs = self._case()
-        for scorer in (evaluate_pair, align):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(DegenerateInputError):
-                    scorer(estimates, 1e160 * refs)
+        base, base_alignment = self._scored(estimates, refs)
+        report, alignment = self._scored(estimates, 1e160 * refs)
+        assert alignment == base_alignment
+        assert (report.permutation, report.signs) == (base.permutation, base.signs)
+        for got, want in zip(report.per_source, base.per_source):
+            assert np.allclose(astuple(got), astuple(want), rtol=0.0, atol=1e-9)
+
+    @staticmethod
+    def _public_scores(estimate, refs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            split = bss_decompose(estimate, refs, 0)
+            return (sir(split), sdr(split), segmental_snr(estimate, refs[0]),
+                    overall_snr(estimate, refs[0]))
+
+    @pytest.mark.parametrize("factor", [1e-310, 1e-200, 1e160, 1e200, 2.0**600, 2.0**-600],
+                             ids=["1e-310", "1e-200", "1e160", "1e200", "2**600", "2**-600"])
+    def test_public_scores_match_unit_scale(self, factor):
+        # at 1e-200 an estimate's energies underflow unless it is brought into range
+        estimates, refs = self._case()
+        base = self._public_scores(estimates[1], refs)
+        got = self._public_scores(factor * estimates[1], refs)
+        assert np.max(np.abs(np.subtract(got, base))) < 1e-9
+        if np.log2(factor).is_integer():
+            assert got == base
 
 
 class TestExtremeReferenceScale:
-    """The collinearity test and the interference energy are taken on the
-    reference Gram block divided by a power of two, so references of any
-    finite scale give the unit-scale scores or a typed error."""
+    """Every scorer brings each reference into range by a power of two, so
+    references of any finite scale give the unit-scale scores."""
 
     @staticmethod
     def _strict(scorer, *args):
@@ -408,7 +456,6 @@ class TestExtremeReferenceScale:
         for target in (0, 1):
             base = self._strict(bss_decompose, estimates[0], refs, target)
             got = self._strict(bss_decompose, estimates[0], factor * refs, target)
-            assert not got.collinear and not base.collinear
             for part, want in zip(astuple(got)[:3], astuple(base)[:3]):
                 if np.log2(factor).is_integer():
                     assert part.tobytes() == want.tobytes()
@@ -416,19 +463,23 @@ class TestExtremeReferenceScale:
             assert abs(sir(got) - sir(base)) < 1e-9
 
     @pytest.mark.parametrize("factor", [2.0**600, 2.0**-600], ids=["2**600", "2**-600"])
-    def test_out_of_range_references_raise_typed_error(self, factor):
+    def test_out_of_range_references_give_unit_scale_report(self, factor):
+        # a power of two brings each reference back exactly, so the bits agree
         estimates, refs = TestExtremeEstimateScale._case()
-        with pytest.raises(DegenerateInputError):
-            self._strict(evaluate_pair, estimates, factor * refs)
-        with pytest.raises(DegenerateInputError):
-            self._strict(bss_decompose, estimates[0], factor * refs, 0)
+        report = evaluate_pair(estimates, refs)
+        assert self._strict(evaluate_pair, estimates, factor * refs) == report
+        for target in (0, 1):
+            got = self._strict(bss_decompose, estimates[0], factor * refs, target)
+            split = bss_decompose(estimates[0], refs, target)
+            for part, want in zip(astuple(got), astuple(split)):
+                assert part.tobytes() == want.tobytes()
 
     def test_references_silent_in_every_frame_raise_typed_error(self):
-        # the segmental SNR's voiced floor is absolute: 1e-100 references
-        # carry less than 1e-12 in every frame
+        # the segmental SNR's voiced floor is absolute: in-range references
+        # at 1e-9 carry less than 1e-12 in every frame
         estimates, refs = TestExtremeEstimateScale._case()
         with pytest.raises(DegenerateInputError, match="silent in every frame"):
-            self._strict(evaluate_pair, estimates, 1e-100 * refs)
+            self._strict(evaluate_pair, estimates, 1e-9 * refs)
 
     def test_infinite_energy_raises_typed_error(self):
         estimates, refs = TestExtremeEstimateScale._case()
@@ -526,8 +577,8 @@ class TestEvaluatePairOracle:
             with pytest.raises(DegenerateInputError, match="collinear"):
                 evaluate_pair(estimates, refs)
             for k in range(2):
-                split = bss_decompose(estimates[0], refs, k)
-                assert split.collinear and not split.e_interf.any()
+                with pytest.raises(DegenerateInputError, match="collinear"):
+                    bss_decompose(estimates[0], refs, k)
             return
         report = evaluate_pair(estimates, refs)
         permutation, signs, rows = _composed_scores(estimates, refs)
