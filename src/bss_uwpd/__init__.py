@@ -22,8 +22,6 @@ from .errors import (
     DegenerateInputError,
     DimensionError,
     ParameterError,
-    SelectionError,
-    SingularDataError,
     UnsupportedRateError,
     WavFormatError,
 )

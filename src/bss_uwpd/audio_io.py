@@ -240,13 +240,16 @@ def synth_source(kind: str, n: int, seed: int, pole: float = 0.9) -> Signal:
     """Generate a deterministic unit-variance test source at 8000 Hz.
 
     kind is one of "laplacian", "uniform", "gaussian" or "ar1" (first-order
-    autoregression with the given real pole of magnitude below 1). The n >= 2
-    samples are centered and scaled to unit sample variance.
+    autoregression with the given pole, which must be a real number of
+    magnitude below 1 for every kind). The n >= 2 samples are centered and
+    scaled to unit sample variance.
     """
     if not isinstance(n, Integral) or n < 2:
         raise ParameterError(f"sample count must be an integer >= 2, got {n!r}")
     if not isinstance(seed, Integral) or seed < 0:
         raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
+    if not (isinstance(pole, Real) and abs(pole) < 1.0):  # NaN fails the test too
+        raise ParameterError(f"AR(1) pole must be a real number of magnitude < 1, got {pole!r}")
     rng = np.random.default_rng(seed)
     if kind == "laplacian":
         samples = rng.laplace(size=n)
@@ -255,8 +258,6 @@ def synth_source(kind: str, n: int, seed: int, pole: float = 0.9) -> Signal:
     elif kind == "gaussian":
         samples = rng.standard_normal(n)
     elif kind == "ar1":
-        if not (isinstance(pole, Real) and abs(pole) < 1.0):  # NaN fails the test too
-            raise ParameterError(f"AR(1) pole must be a real number of magnitude < 1, got {pole!r}")
         burn_in = 1000
         noise = rng.standard_normal(n + burn_in)
         # y[t] = pole * y[t-1] + noise[t] from y[-1] = 0, as lfilter runs it

@@ -22,12 +22,6 @@ class ParameterError(BssError):
 
 
 class DegenerateInputError(BssError):
-    """Input carries no usable statistics (zero variance, silent frames)."""
-
-
-class SelectionError(BssError):
-    """No tree node produced a finite score on both channels."""
-
-
-class SingularDataError(BssError):
-    """Two-channel data has a rank-deficient covariance."""
+    """Input carries no usable statistics: zero variance, silent frames,
+    collinear channels or references, or a tree with no node scoring finite
+    on both channels."""

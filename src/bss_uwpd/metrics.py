@@ -186,11 +186,12 @@ def _frame_energies(x):
 
 
 def _segmental(ref, residual) -> float:
-    """Mean clamped frame SNR of ref against residual over voiced frames."""
+    """Mean clamped frame SNR of ref against residual over voiced frames:
+    those above 1e-12 of ref's largest frame energy."""
     if ref.size < SEG_FRAME:
         raise DimensionError(f"need one whole {SEG_FRAME}-sample frame, got {ref.size} samples")
     ref_energy = _frame_energies(ref)
-    voiced = ref_energy > 1e-12
+    voiced = ref_energy > 1e-12 * ref_energy.max()
     if not voiced.any():
         raise DegenerateInputError("reference is silent in every frame")
     with np.errstate(divide="ignore"):

@@ -40,7 +40,6 @@ class SeparationResult:
     estimates: tuple
     model: UnmixingModel
     selected_node: tuple | None
-    method: str
 
 
 def _scaled_rows(x1: Signal, x2: Signal):
@@ -152,7 +151,6 @@ def separate(x1: Signal, x2: Signal, method: str,
         estimates=tuple(Signal(row, PIPELINE_RATE_HZ) for row in estimates),
         model=model,
         selected_node=selected_node,
-        method=method,
     )
 
 

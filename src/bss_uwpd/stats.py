@@ -14,21 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import PIPELINE_RATE_HZ, check_rate, scale_into_range, set_read_only
-from .errors import (DegenerateInputError, DimensionError, ParameterError, SelectionError,
-                     SingularDataError)
+from .errors import DegenerateInputError, DimensionError, ParameterError
 
-# Columns per block of a pass over (2, N) data: a block of a pair is 512 KiB,
-# so it stays in L2 while every product that reads it is formed, and a
-# filter pass's input and output blocks of a pair both stay in a 2 MiB L2.
-# On a 2 MiB-L2 Xeon a walk of (2, 480000) took 131-133 ms at 32768-65536
-# columns, 137 at 16384, 151 at 4096 and 212 unblocked (medians of 30). The
-# width depends on neither the data nor the BLAS thread count, so the block
-# sums, and the fitted models, are the same on every run.
+# Columns per block of a pass over (2, N) data, or over one row in
+# row_kurtosis: a block of a pair is 512 KiB, so it stays in L2 while every
+# product that reads it is formed, and a filter pass's input and output
+# blocks of a pair both stay in a 2 MiB L2. On a 2 MiB-L2 Xeon a walk of
+# (2, 480000) took 131-133 ms at 32768-65536 columns, 137 at 16384, 151 at
+# 4096 and 212 unblocked (medians of 30). The width depends on neither the
+# data nor the BLAS thread count, so sums and fitted models repeat each run.
 BLOCK_COLUMNS = 32768
-
-# Columns per block of row_kurtosis: the scratch of a 480000-sample row is
-# 128 KiB, and the block sums repeat bit for bit at any length.
-_KURTOSIS_COLUMNS = 16384
 
 
 def _central_moments(c):
@@ -36,7 +31,7 @@ def _central_moments(c):
     row, summed as Python floats over column blocks through one small
     scratch array."""
     mean, m2, m4 = c.mean(), 0.0, 0.0
-    for _, sq in centred_blocks(c, mean, _KURTOSIS_COLUMNS):
+    for _, sq in centred_blocks(c, mean):
         np.multiply(sq, sq, out=sq)
         m2 += float(sq.sum())
         np.multiply(sq, sq, out=sq)
@@ -97,7 +92,7 @@ def select_best_node(scores, fs_hz: int = PIPELINE_RATE_HZ) -> NodeScore:
     the highest combined (min-over-channels) kurtosis; ties go to the lower
     band (position / 2**level, its low edge over Fs/2), then the shallower
     node. Nodes without finite scores on both channels are skipped; raises
-    SelectionError if that leaves none."""
+    DegenerateInputError if that leaves none."""
     check_rate(fs_hz, "node selection")
 
     def rank(s):
@@ -106,7 +101,7 @@ def select_best_node(scores, fs_hz: int = PIPELINE_RATE_HZ) -> NodeScore:
 
     finite = [s for s in scores if np.isfinite(s.combined)]
     if not finite:
-        raise SelectionError("every node scored as degenerate on some channel")
+        raise DegenerateInputError("every node scored as degenerate on some channel")
     return min(finite, key=rank)
 
 
@@ -124,16 +119,16 @@ class WhiteningModel:
         return affine(self.matrix, x, self.mean)
 
 
-def centred_blocks(x, mean, columns=BLOCK_COLUMNS):
-    """Yield (start, d) per block of the given number of columns of (..., N)
-    data x, d being the block minus mean (shaped (..., 1)), each d a view of
-    one scratch valid until the next is drawn. A last block of one column
-    joins the one before: numpy would form its product with a matrix as a
-    matrix-vector product, whose bits can differ."""
+def centred_blocks(x, mean):
+    """Yield (start, d) per block of BLOCK_COLUMNS columns of (..., N) data
+    x, d being the block minus mean (shaped (..., 1) for a pair), each d a
+    view of one scratch valid until the next is drawn. A last block of one
+    column joins the one before: numpy would form its product with a matrix
+    as a matrix-vector product, whose bits can differ."""
     n = x.shape[-1]
-    scratch = np.empty(x.shape[:-1] + (min(n, columns + 1),))
-    for start in range(0, max(n - 1, 1), columns):
-        width = n - start if n - start <= columns + 1 else columns
+    scratch = np.empty(x.shape[:-1] + (min(n, BLOCK_COLUMNS + 1),))
+    for start in range(0, max(n - 1, 1), BLOCK_COLUMNS):
+        width = n - start if n - start <= BLOCK_COLUMNS + 1 else BLOCK_COLUMNS
         yield start, np.subtract(x[..., start : start + width], mean,
                                  out=scratch[..., :width])
 
@@ -176,8 +171,9 @@ def fit_whitening(x) -> WhiteningModel:
     """Fit mean and whitening matrix D^(-1/2) E^T from the eigendecomposition
     of the (biased) sample covariance of 2-channel data shaped (2, N). If it
     is not finite: ParameterError for non-finite samples, else DegenerateInputError.
-    If it is singular: DegenerateInputError when non-zero samples peak
-    below 2**-64, where it underflows, else SingularDataError."""
+    If it is singular: DegenerateInputError, whose message names the peak
+    when non-zero samples peak below 2**-64, where it underflows, and
+    collinear rows otherwise."""
     x = as_pair(x, 2, "whitening")
     with np.errstate(over="ignore", invalid="ignore"):
         mean, cov = mean_covariance(x)
@@ -188,12 +184,9 @@ def fit_whitening(x) -> WhiteningModel:
     evals, evecs = np.linalg.eigh(cov)
     if evals[0] <= 1e-12 * evals[-1]:
         peak = max(x.max(), -x.min())
-        if 0.0 < peak < 2.0**-64:
-            raise DegenerateInputError(
-                f"samples peak at {peak:.3g}, below 2**-64, where their covariance "
-                "underflows; scale them up"
-            )
-        raise SingularDataError(
+        raise DegenerateInputError(
+            f"samples peak at {peak:.3g}, below 2**-64, where their covariance "
+            "underflows; scale them up" if 0.0 < peak < 2.0**-64 else
             "covariance is rank-deficient; channels are (nearly) collinear"
         )
     matrix = (evecs / np.sqrt(evals)).T

@@ -361,6 +361,13 @@ class TestSynthSource:
         with pytest.raises(ParameterError, match="pole"):
             synth_source("ar1", 100, seed=0, pole=pole)
 
+    @pytest.mark.parametrize("kind", ["laplacian", "uniform", "gaussian"])
+    @pytest.mark.parametrize("pole", ["x", 1.0, np.nan])
+    def test_every_kind_checks_the_pole(self, kind, pole):
+        # the kinds that do not read the pole reject a bad one as "ar1" does
+        with pytest.raises(ParameterError, match="pole"):
+            synth_source(kind, 10, seed=0, pole=pole)
+
     @pytest.mark.parametrize("kind", ["laplacian", "uniform", "gaussian", "ar1"])
     def test_one_sample_has_no_unit_variance(self, kind):
         # one sample centres to 0.0, which no scale brings to unit variance

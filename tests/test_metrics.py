@@ -475,11 +475,18 @@ class TestExtremeReferenceScale:
                 assert part.tobytes() == want.tobytes()
 
     def test_references_silent_in_every_frame_raise_typed_error(self):
-        # the segmental SNR's voiced floor is absolute: in-range references
-        # at 1e-9 carry less than 1e-12 in every frame
+        # the voiced floor is relative to the reference's loudest frame, so
+        # in-range quiet references score as at unit scale; only a reference
+        # with no energy in any frame is silent
         estimates, refs = TestExtremeEstimateScale._case()
+        base = evaluate_pair(estimates, refs)
+        assert self._strict(evaluate_pair, estimates, 2.0**-30 * refs) == base
+        report = self._strict(evaluate_pair, estimates, 1e-9 * refs)
+        assert (report.permutation, report.signs) == (base.permutation, base.signs)
+        for got, want in zip(report.per_source, base.per_source):
+            assert np.allclose(astuple(got), astuple(want), rtol=0.0, atol=1e-12)
         with pytest.raises(DegenerateInputError, match="silent in every frame"):
-            self._strict(evaluate_pair, estimates, 1e-9 * refs)
+            segmental_snr(estimates[0], np.zeros(refs.shape[1]))
 
     def test_infinite_energy_raises_typed_error(self):
         estimates, refs = TestExtremeEstimateScale._case()
