@@ -63,7 +63,6 @@ from .separators import (
 )
 from .stats import (
     NodeScore,
-    WhiteningModel,
     fit_whitening,
     score_nodes,
     select_best_node,

@@ -152,8 +152,12 @@ def atomic_file(path):
 def write_wav(signal: Signal, path) -> None:
     """Write a Signal to a path as mono 16-bit PCM WAV, atomically (see
     atomic_file). Values outside [-1, 1) are clipped; quantization is
-    round-to-nearest.
+    round-to-nearest. A rate above 2147483647 Hz, whose byte rate (two per
+    sample) the header's 32 bits cannot hold, raises UnsupportedRateError.
     """
+    if signal.sample_rate_hz > 2**31 - 1:
+        raise UnsupportedRateError(
+            f"WAV stores rates up to 2147483647 Hz, got {signal.sample_rate_hz} Hz")
     scaled = np.rint(signal.samples * _PCM_FULL_SCALE)
     quantized = np.clip(scaled, -32768, 32767).astype("<i2")
     with atomic_file(path) as raw, wave.open(raw, "wb") as handle:

@@ -17,14 +17,7 @@ from .audio_io import PIPELINE_RATE_HZ, Signal, check_rate, pair_rate, scale_int
 from .errors import DegenerateInputError, ParameterError
 from .filterbank import CbLeaf, build_cb_tree, db4_filters, walk
 from .separators import IcaOptions, UnmixingModel, fastica, sobi
-from .stats import (
-    NodeScore,
-    WhiteningModel,
-    affine,
-    mean_covariance,
-    row_kurtosis,
-    select_best_node,
-)
+from .stats import NodeScore, affine, mean_covariance, row_kurtosis, select_best_node
 
 METHOD_PROPOSED = "proposed"
 METHOD_FASTICA = "fastica"
@@ -72,19 +65,20 @@ _FOLD_MAX_RATIO = 64.0
 
 def _unit_variance_estimates(model: UnmixingModel, x, fitted_on_x: bool):
     """The estimates C @ (x - mean) / gain, C being model.combined and
-    gain_i = sqrt((C cov(x) C^T)_ii) the std of estimate i. A model fitted
-    on x whitens it, so there mean is the fitted mean and gain the row
-    norms of the orthonormal rotation; otherwise both come from one blocked
-    pass over x. When cov(x)'s eigenvalue ratio is at most _FOLD_MAX_RATIO,
-    1/gain is folded into C and the estimates come from one affine pass;
-    else gain is the measured std of the affine pass's rows. Raises
-    DegenerateInputError when a gain is zero or not finite."""
+    gain_i = sqrt((C cov(x) C^T)_ii) the std of estimate i, and the mean
+    of x. A model fitted on x whitens it, so there mean is model.mean and
+    gain the row norms of the orthonormal rotation; otherwise both come
+    from one blocked pass over x. When cov(x)'s eigenvalue ratio is at
+    most _FOLD_MAX_RATIO, 1/gain is folded into C and the estimates come
+    from one affine pass; else gain is the measured std of the affine
+    pass's rows. Raises DegenerateInputError when a gain is zero or not
+    finite."""
     c = model.combined
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if fitted_on_x:
-            mean, gain = model.whitening.mean, np.linalg.norm(model.rotation, axis=1)
+            mean, gain = model.mean, np.linalg.norm(model.rotation, axis=1)
             # the whitening matrix's rows have norms eigenvalue**-0.5
-            evals = np.linalg.norm(model.whitening.matrix, axis=1) ** -2.0
+            evals = np.linalg.norm(model.whitening, axis=1) ** -2.0
         else:
             mean, cov = mean_covariance(x)
             gain = np.sqrt(np.sum((c @ cov) * c, axis=1))
@@ -99,9 +93,9 @@ def _unit_variance_estimates(model: UnmixingModel, x, fitted_on_x: bool):
     if not (np.all(np.isfinite(gain)) and np.all(np.isfinite(folded))):
         raise DegenerateInputError("an estimate's variance is zero or not finite")
     if estimates is None:
-        return affine(folded, x, mean)
+        return affine(folded, x, mean), mean
     estimates /= gain[:, None]
-    return estimates
+    return estimates, mean
 
 
 def separate(x1: Signal, x2: Signal, method: str,
@@ -109,7 +103,8 @@ def separate(x1: Signal, x2: Signal, method: str,
     """Separate two mixtures with one of METHODS: proposed fits FastICA on
     the kurtosis-selected subband, fastica and sobi fit on the mixtures, and
     the model is applied to the mixtures, each estimate scaled to unit
-    variance. opts sets the FastICA fits.
+    variance; the returned model, mean included, is that map of the
+    caller's mixtures before the scaling. opts sets the FastICA fits.
 
     Unless the mixtures' covariance is ill-conditioned, the unit-variance
     scale is folded into the unmixing matrix by 2x2 algebra, so the
@@ -132,21 +127,17 @@ def separate(x1: Signal, x2: Signal, method: str,
     fitted_on_x = model is None
     if fitted_on_x:
         model = sobi(x) if method == METHOD_SOBI else fastica(x, opts)
-    estimates = _unit_variance_estimates(model, x, fitted_on_x)
+    estimates, mean = _unit_variance_estimates(model, x, fitted_on_x)
     # read-only, so each estimate Signal keeps its row without a copy
     estimates.setflags(write=False)
-    if e:
-        # express the model for the caller's data, undoing the entry scale
+    if e or not fitted_on_x:
+        # the model of the caller's mixtures: their mean, not a subband's,
+        # and the entry scale undone, exactly (ldexp)
         with np.errstate(over="ignore"):
-            whitening = WhiteningModel(
-                mean=np.ldexp(model.whitening.mean, e),
-                matrix=np.ldexp(model.whitening.matrix, -e),
-            )
-        if not np.all(np.isfinite(whitening.matrix)):
+            model = replace(model, mean=np.ldexp(mean, e), whitening=np.ldexp(model.whitening, -e))
+        if not np.all(np.isfinite(model.whitening)):
             raise DegenerateInputError(
-                "mixtures are too quiet for their unmixing matrix to be finite"
-            )
-        model = replace(model, whitening=whitening)
+                "mixtures are too quiet for their unmixing matrix to be finite")
     return SeparationResult(
         estimates=tuple(Signal(row, PIPELINE_RATE_HZ) for row in estimates),
         model=model,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .audio_io import set_read_only
 from .errors import DimensionError, ParameterError
-from .stats import BLOCK_COLUMNS, WhiteningModel, affine, as_pair, fit_whitening
+from .stats import BLOCK_COLUMNS, affine, as_pair, fit_whitening
 
 # The one fit configuration, read by sobi and fastica at call time
 SOBI_LAGS = tuple(range(1, 21))
@@ -69,24 +69,26 @@ class IcaOptions:
 
 @dataclass(frozen=True)
 class UnmixingModel:
-    """Whitening plus an orthonormal rotation; combined = rotation @ whitening.
+    """The map combined @ (x - mean) of 2-channel data x, combined being
+    rotation @ whitening: a 2x2 whitening matrix, then an orthonormal rotation.
 
     converged/iterations describe the fit; ill_conditioned warns that the
     estimator saw (near) indistinguishable second-order statistics.
     """
 
-    whitening: WhiteningModel
+    mean: np.ndarray
+    whitening: np.ndarray
     rotation: np.ndarray
     converged: bool = True
     iterations: int = 0
     ill_conditioned: bool = False
 
     def __post_init__(self):
-        set_read_only(self, rotation=self.rotation)
+        set_read_only(self, mean=self.mean, whitening=self.whitening, rotation=self.rotation)
 
     @property
     def combined(self) -> np.ndarray:
-        return self.rotation @ self.whitening.matrix
+        return self.rotation @ self.whitening
 
 
 def _random_orthonormal(rng):
@@ -133,8 +135,8 @@ def fastica(x, opts: IcaOptions | None = None) -> UnmixingModel:
     if opts is None:
         opts = IcaOptions()
     x = as_pair(x, 64, "fastica")
-    whitening = fit_whitening(x)
-    z = whitening.transform(x)
+    mean, whitening = fit_whitening(x)
+    z = affine(whitening, x, mean)
     rng = np.random.default_rng(opts.seed)
     w = _random_orthonormal(rng)
     converged = False
@@ -145,9 +147,7 @@ def fastica(x, opts: IcaOptions | None = None) -> UnmixingModel:
         if drift < TOLERANCE:
             converged = True
             break
-    return UnmixingModel(
-        whitening=whitening, rotation=w, converged=converged, iterations=iterations
-    )
+    return UnmixingModel(mean, whitening, w, converged=converged, iterations=iterations)
 
 
 def joint_diagonalize(matrices):
@@ -209,25 +209,21 @@ def sobi(x) -> UnmixingModel:
     returned model carries ill_conditioned=True.
     """
     x = as_pair(x, 4 * max(SOBI_LAGS) + 1, "sobi")
-    whitening = fit_whitening(x)
-    z = whitening.transform(x)
+    mean, whitening = fit_whitening(x)
+    z = affine(whitening, x, mean)
     covs = _lagged_covariances(z, SOBI_LAGS)
     # distance of each matrix from scalar * identity; below the sampling
     # noise floor second-order statistics cannot identify a rotation
     strength = np.hypot(0.5 * (covs[:, 0, 0] - covs[:, 1, 1]), covs[:, 0, 1]).max()
     ill = strength < min(0.2, 10.0 / np.sqrt(x.shape[1]))
     v = joint_diagonalize(covs)[0]
-    return UnmixingModel(
-        whitening=whitening, rotation=v.T, iterations=1, ill_conditioned=bool(ill)
-    )
+    return UnmixingModel(mean, whitening, v.T, iterations=1, ill_conditioned=bool(ill))
 
 
 def apply_unmixing(model: UnmixingModel, x, mean=None) -> np.ndarray:
     """Apply a fitted model to 2-channel data: combined @ (x - mean).
 
-    mean defaults to the model's fitted mean; pass an explicit mean when the
-    model was fitted on subband coefficients but is applied to raw mixtures.
+    mean defaults to the model's mean; pass an explicit mean when the model
+    was fitted on subband coefficients but is applied to raw mixtures.
     """
-    if mean is None:
-        mean = model.whitening.mean
-    return affine(model.combined, x, mean)
+    return affine(model.combined, x, model.mean if mean is None else mean)

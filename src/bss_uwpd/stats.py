@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import PIPELINE_RATE_HZ, check_rate, scale_into_range, set_read_only
+from .audio_io import PIPELINE_RATE_HZ, check_rate, scale_into_range
 from .errors import DegenerateInputError, DimensionError, ParameterError
 
 # Columns per block of a pass over (2, N) data, or over one row in
@@ -105,20 +105,6 @@ def select_best_node(scores, fs_hz: int = PIPELINE_RATE_HZ) -> NodeScore:
     return min(finite, key=rank)
 
 
-@dataclass(frozen=True)
-class WhiteningModel:
-    """Affine transform taking fitted data to zero mean, identity covariance."""
-
-    mean: np.ndarray
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        set_read_only(self, mean=self.mean, matrix=self.matrix)
-
-    def transform(self, x) -> np.ndarray:
-        return affine(self.matrix, x, self.mean)
-
-
 def centred_blocks(x, mean):
     """Yield (start, d) per block of BLOCK_COLUMNS columns of (..., N) data
     x, d being the block minus mean (shaped (..., 1) for a pair), each d a
@@ -167,13 +153,14 @@ def mean_covariance(x):
     return mean, cov
 
 
-def fit_whitening(x) -> WhiteningModel:
-    """Fit mean and whitening matrix D^(-1/2) E^T from the eigendecomposition
-    of the (biased) sample covariance of 2-channel data shaped (2, N). If it
-    is not finite: ParameterError for non-finite samples, else DegenerateInputError.
-    If it is singular: DegenerateInputError, whose message names the peak
-    when non-zero samples peak below 2**-64, where it underflows, and
-    collinear rows otherwise."""
+def fit_whitening(x):
+    """The mean and whitening matrix D^(-1/2) E^T of 2-channel data x shaped
+    (2, N), E and D being the eigenvectors and eigenvalues of its biased
+    sample covariance, so affine(whitening, x, mean) is white. A covariance
+    that is not finite raises ParameterError for non-finite samples, else
+    DegenerateInputError; a singular one raises DegenerateInputError, whose
+    message names the peak when non-zero samples peak below 2**-64, where
+    the covariance underflows, and collinear rows otherwise."""
     x = as_pair(x, 2, "whitening")
     with np.errstate(over="ignore", invalid="ignore"):
         mean, cov = mean_covariance(x)
@@ -189,5 +176,4 @@ def fit_whitening(x) -> WhiteningModel:
             "underflows; scale them up" if 0.0 < peak < 2.0**-64 else
             "covariance is rank-deficient; channels are (nearly) collinear"
         )
-    matrix = (evecs / np.sqrt(evals)).T
-    return WhiteningModel(mean=mean, matrix=matrix)
+    return mean, (evecs / np.sqrt(evals)).T

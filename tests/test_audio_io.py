@@ -18,7 +18,6 @@ from bss_uwpd import (
     UnmixingModel,
     UnsupportedRateError,
     WavFormatError,
-    WhiteningModel,
     build_cb_tree,
     db4_filters,
     decimate_to_8k,
@@ -120,6 +119,20 @@ class TestWriteWav:
         path = tmp_path / "arb.wav"
         write_wav(Signal(samples, 8000), path)
         assert np.max(np.abs(read_wav(path).samples - samples)) <= 1.0 / 32768
+
+    @pytest.mark.parametrize("rate", [2**31, 2**32])
+    def test_rate_beyond_the_header_raises_typed_error(self, tmp_path, rate):
+        # the header's 32-bit byte rate is twice the sample rate
+        with pytest.raises(UnsupportedRateError, match="up to 2147483647 Hz"):
+            write_wav(Signal([0.5], rate), tmp_path / "fast.wav")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_storable_rate_round_trips(self, tmp_path):
+        path = tmp_path / "fastest.wav"
+        write_wav(Signal([0.5, -0.25], 2**31 - 1), path)
+        got = read_wav(path)
+        assert got.sample_rate_hz == 2147483647
+        assert got.samples.tolist() == [0.5, -0.25]
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
@@ -403,16 +416,14 @@ _ARRAY_FIELDS = {
     "MixingMatrix.entries": (MixingMatrix, "entries", [[2.0, 1.0], [1.0, 1.0]]),
     "FilterPair.h": (lambda a: FilterPair(h=a, g=[0.5, -0.5]), "h", [0.5, 0.5]),
     "FilterPair.g": (lambda a: FilterPair(h=[0.5, 0.5], g=a), "g", [0.5, -0.5]),
-    "WhiteningModel.mean": (
-        lambda a: WhiteningModel(mean=a, matrix=np.eye(2)), "mean", [1.0, -2.0]
+    "UnmixingModel.mean": (
+        lambda a: UnmixingModel(a, np.eye(2), np.eye(2)), "mean", [1.0, -2.0]
     ),
-    "WhiteningModel.matrix": (
-        lambda a: WhiteningModel(mean=np.zeros(2), matrix=a), "matrix", [[2.0, 0.0], [0.0, 0.5]]
+    "UnmixingModel.whitening": (
+        lambda a: UnmixingModel(np.zeros(2), a, np.eye(2)), "whitening", [[2.0, 0.0], [0.0, 0.5]]
     ),
     "UnmixingModel.rotation": (
-        lambda a: UnmixingModel(WhiteningModel(mean=np.zeros(2), matrix=np.eye(2)), a),
-        "rotation",
-        [[0.0, 1.0], [1.0, 0.0]],
+        lambda a: UnmixingModel(np.zeros(2), np.eye(2), a), "rotation", [[0.0, 1.0], [1.0, 0.0]]
     ),
 }
 

@@ -13,7 +13,6 @@ from bss_uwpd import (
     IcaOptions,
     ParameterError,
     UnmixingModel,
-    WhiteningModel,
     apply_unmixing,
     fastica,
     fit_whitening,
@@ -25,6 +24,7 @@ from bss_uwpd import (
 from bss_uwpd import MixingMatrix, separators
 from bss_uwpd.metrics import align
 from bss_uwpd.separators import _fastica_step, _lagged_covariances
+from bss_uwpd.stats import affine
 
 from helpers import EQ8_MATRIX, amari_index
 
@@ -191,7 +191,8 @@ def _ar_pair(n):
 
 def _whitened_ar_pair(n):
     x = _ar_pair(n)
-    return fit_whitening(x).transform(x)
+    mean, whitening = fit_whitening(x)
+    return affine(whitening, x, mean)
 
 
 def _whole_array_covariances(z, lags):
@@ -258,13 +259,13 @@ class TestColumnBlocks:
         # whitening, and unmixing at the fitted and at a caller's mean; the
         # blocked pass equals the whole-array form at every length
         x = _ar_pair(n)
-        whitening = fit_whitening(x)
+        fitted, whitening = fit_whitening(x)
         rotation = np.linalg.qr(np.random.default_rng(n).standard_normal((2, 2)))[0]
-        model = UnmixingModel(whitening=whitening, rotation=rotation)
+        model = UnmixingModel(fitted, whitening, rotation)
         mean = x.mean(axis=1) + 0.25
         for got, m, mu in (
-            (whitening.transform(x), whitening.matrix, whitening.mean),
-            (apply_unmixing(model, x), model.combined, whitening.mean),
+            (affine(whitening, x, fitted), whitening, fitted),
+            (apply_unmixing(model, x), model.combined, fitted),
             (apply_unmixing(model, x, mean), model.combined, mean),
         ):
             want = m @ (x - mu[:, None])
@@ -276,7 +277,7 @@ class TestColumnBlocks:
         x = _ar_pair(n)
         centred = x - x.mean(axis=1)[:, None]
         evals, evecs = np.linalg.eigh(centred @ centred.T / n)
-        _assert_matches_whole_array(fit_whitening(x).matrix, (evecs / np.sqrt(evals)).T, n)
+        _assert_matches_whole_array(fit_whitening(x)[1], (evecs / np.sqrt(evals)).T, n)
 
     def test_models_do_not_depend_on_blas_threads(self):
         # several blocks, so each block's products go through BLAS
@@ -288,7 +289,7 @@ class TestColumnBlocks:
             "x1, x2 = mix(s, MixingMatrix(np.array([[2.0, 1.0], [1.0, 1.0]])))\n"
             "x = np.vstack([x1.samples, x2.samples])\n"
             "for m in (fastica(x), sobi(x)):\n"
-            "    for a in (m.rotation, m.whitening.matrix, m.whitening.mean):\n"
+            "    for a in (m.rotation, m.whitening, m.mean):\n"
             "        print(a.tobytes().hex())\n"
         )
         src = Path(__file__).resolve().parents[1] / "src"
@@ -323,24 +324,18 @@ class TestUnusableData:
 
 class TestApply:
     def test_identity_model_centers(self):
-        model = UnmixingModel(
-            whitening=WhiteningModel(mean=np.array([1.0, -2.0]), matrix=np.eye(2)),
-            rotation=np.eye(2),
-        )
+        model = UnmixingModel(np.array([1.0, -2.0]), np.eye(2), np.eye(2))
         x = np.array([[2.0, 0.0], [-1.0, -3.0]])
         out = apply_unmixing(model, x)
         assert np.allclose(out, x - np.array([[1.0], [-2.0]]), atol=1e-15)
 
     def test_data_not_shaped_2_by_n_is_rejected(self):
-        model = UnmixingModel(
-            whitening=WhiteningModel(mean=np.zeros(2), matrix=np.eye(2)),
-            rotation=np.eye(2),
-        )
+        model = UnmixingModel(np.zeros(2), np.eye(2), np.eye(2))
         for bad in (np.zeros(5), np.zeros((3, 5))):
             with pytest.raises(DimensionError):
                 apply_unmixing(model, bad)
             with pytest.raises(DimensionError):
-                model.whitening.transform(bad)
+                affine(model.whitening, bad, model.mean)
 
     def test_recovers_correlated_sources(self):
         x, s = _mixed("uniform", "uniform")
@@ -362,12 +357,7 @@ class TestApply:
 
     def test_exact_inverse_gives_scaled_permutation(self):
         x, s = _mixed("laplacian", "uniform")
-        model = UnmixingModel(
-            whitening=WhiteningModel(
-                mean=x.mean(axis=1), matrix=np.linalg.inv(EQ8_MATRIX)
-            ),
-            rotation=np.eye(2),
-        )
+        model = UnmixingModel(x.mean(axis=1), np.linalg.inv(EQ8_MATRIX), np.eye(2))
         assert amari_index(model.combined @ EQ8_MATRIX) < 1e-12
         out = apply_unmixing(model, x, mean=np.zeros(2))
         assert np.max(np.abs(out - s)) < 1e-6
